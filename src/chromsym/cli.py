@@ -28,6 +28,7 @@ from .engine import (
     verify,
 )
 from .graphs import (
+    FAMILIES,
     Family,
     GraphSpec,
     ResourceLimitError,
@@ -50,7 +51,7 @@ class SpecParseError(ValueError):
 
 
 def _parse_int(text: str, pos: int, token: str) -> int:
-    if not token or not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise SpecParseError(text, pos, f"expected a nonnegative integer, got {token!r}")
     return int(token)
 
@@ -84,7 +85,7 @@ def parse_graph_spec(text: str) -> GraphSpec:
         raise SpecParseError(s, 0, f"unknown family {name!r}, expected one of: {known}")
     body = s[colon + 1:]
     base = colon + 1
-    if family is not Family.EDGES:
+    if not FAMILIES[family].explicit_edges:
         return GraphSpec(family, _parse_int_list(s, base, body))
 
     semi = body.find(";")

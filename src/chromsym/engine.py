@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,11 +30,12 @@ from .compositions import (
     surplus,
 )
 from .graphs import (
-    FAMILY_ARITY,
-    Family,
+    FAMILIES,
     Graph,
     GraphSpec,
     ResourceLimitError,
+    _absorb,
+    _root_sizes,
     build_graph,
     count_proper_colorings,
     theta_graph,
@@ -190,88 +192,16 @@ def csf_oracle(graph: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> SymFunc:
     return p_to_e(SymFunc(Basis.POWERSUM, terms))
 
 
-def _absorb(parent: list[int], size: list[int], edges, mask: int) -> None:
-    """Union the edges selected by mask into the parent/size arrays."""
-    idx = 0
-    while mask:
-        if mask & 1:
-            u, v = edges[idx]
-            ru = _find(parent, u)
-            rv = _find(parent, v)
-            if ru != rv:
-                if size[ru] < size[rv]:
-                    ru, rv = rv, ru
-                parent[rv] = ru
-                size[ru] += size[rv]
-        mask >>= 1
-        idx += 1
-
-
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _root_sizes(parent: list[int], size: list[int]) -> Partition:
-    return tuple(
-        sorted(
-            (size[v] for v in range(len(parent)) if parent[v] == v),
-            reverse=True,
-        )
-    )
-
-
 # ----------------------------------------------------------- verification
 
-# Families whose e-positivity is established, so a negative coefficient
-# is a hard failure rather than a finding.
-def _e_positivity_expected(spec: GraphSpec) -> bool:
-    fam = spec.family
-    if fam in (Family.PATH, Family.CYCLE, Family.TADPOLE, Family.CYCLE_CHORD):
-        return True
-    if fam in (Family.THETA, Family.MULTIPATH):
-        lengths = spec.params
-        if len(lengths) <= 2:
-            return True
-        return len(lengths) == 3 and min(lengths) <= 2
-    return False
-
-
 def closed_formula(spec: GraphSpec) -> SymFunc | None:
-    """Dispatch to a closed-form evaluator when one covers the spec,
-    None when only the oracle can answer."""
-    fam = spec.family
-    params = spec.params
-    want = FAMILY_ARITY.get(fam)
-    if want is not None and len(params) != want:
-        raise ValueError(
-            f"{fam.value} takes {want} parameter(s), got {len(params)}"
-        )
-    if fam is Family.PATH:
-        return csf_path(params[0])
-    if fam is Family.CYCLE:
-        return csf_cycle(params[0])
-    if fam is Family.TADPOLE:
-        return csf_tadpole(*params)
-    if fam is Family.CYCLE_CHORD:
-        a, b = params
-        if min(a, b) == 1:
-            return csf_cycle(a + b)
-        return csf_cycle_chord(a, b)
-    if fam in (Family.THETA, Family.MULTIPATH):
-        lengths = spec.params
-        if len(lengths) == 1:
-            return csf_path(lengths[0] + 1)
-        if len(lengths) == 2:
-            return csf_cycle(lengths[0] + lengths[1])
-        if len(lengths) == 3 and lengths[2] == 1:
-            a, b = lengths[0], lengths[1]
-            if b == 1:
-                return csf_cycle(a + 1)
-            return csf_cycle_chord(a, b)
-    return None
+    """Dispatch to the closed-form evaluator the family table names for
+    the spec, None when only the oracle can answer."""
+    route = FAMILIES[spec.family].formula(spec.params)
+    if route is None:
+        return None
+    name, args = route
+    return globals()[name](*args)  # by name, so a rebound csf_* global runs
 
 
 @dataclass
@@ -319,12 +249,9 @@ def verify(spec: GraphSpec, max_edges: int = DEFAULT_MAX_EDGES) -> VerificationR
     oracle = csf_oracle(graph, max_edges)
     timings["oracle"] = time.perf_counter() - start
 
-    formula = None
-    equal = None
     start = time.perf_counter()
     formula = closed_formula(spec)
-    if formula is not None:
-        equal = formula == oracle
+    equal = None if formula is None else formula == oracle
     timings["formula"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -341,7 +268,7 @@ def verify(spec: GraphSpec, max_edges: int = DEFAULT_MAX_EDGES) -> VerificationR
         oracle=oracle,
         equal=equal,
         e_positivity=is_e_positive(oracle),
-        e_positivity_expected=_e_positivity_expected(spec),
+        e_positivity_expected=FAMILIES[spec.family].e_positive(spec.params),
         colorings_match=colorings_match,
         timings=timings,
     )
@@ -463,15 +390,28 @@ def _scan_cell(cell: tuple[int, int, int]) -> ThetaScanRow:
 
 
 def _load_checkpoint(path: str) -> dict[tuple[int, int, int], ThetaScanRow]:
+    """Rows recorded in a checkpoint, keyed by cell.  Rows are written
+    whole with their newline, so a final line without one was torn by a
+    kill mid-write: it is dropped with a warning and truncated away, and
+    its cell is scanned again.  A malformed complete line is an error."""
     done = {}
-    if path and os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = ThetaScanRow.from_json(line)
-                done[row.cell()] = row
+    if not os.path.exists(path):
+        return done
+    with open(path, "rb") as fh:
+        complete, newline, torn = fh.read().rpartition(b"\n")
+    for number, line in enumerate(complete.split(b"\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = ThetaScanRow.from_json(line)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path} line {number} is not a scan row: {exc!r}") from None
+        done[row.cell()] = row
+    if torn.strip():
+        print(f"warning: {path} ends in a torn line; dropping it and "
+              "rescanning its cell", file=sys.stderr)
+        os.truncate(path, len(complete) + len(newline))
     return done
 
 
@@ -526,7 +466,7 @@ def scan_theta(
         if sink:
             sink.close()
         if pool:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
     if skipped:
         raise ResourceLimitError(
             f"{len(skipped)} theta cell(s) need oracles beyond max_edges="

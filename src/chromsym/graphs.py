@@ -8,9 +8,9 @@ normalized to (min, max), so structurally equal graphs compare equal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .compositions import Partition, dominance_leq, partitions
 
@@ -64,37 +64,49 @@ class Graph:
         return _normalize_edge((u, v)) in set(self.edges)
 
 
-class UnionFind:
-    """Array-based disjoint sets with union by size."""
+# ------------------------------------------------------------ union-find
+# Bare parent/size arrays with union by size, for the oracle's hot loop.
 
-    __slots__ = ("parent", "size", "components")
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.components = n
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+def _absorb(parent: list[int], size: list[int], edges, mask: int) -> None:
+    """Union the edges selected by mask into the parent/size arrays."""
+    idx = 0
+    while mask:
+        if mask & 1:
+            u, v = edges[idx]
+            ru = _find(parent, u)
+            rv = _find(parent, v)
+            if ru != rv:
+                if size[ru] < size[rv]:
+                    ru, rv = rv, ru
+                parent[rv] = ru
+                size[ru] += size[rv]
+        mask >>= 1
+        idx += 1
 
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-        self.components -= 1
-        return True
 
-    def component_sizes(self) -> Partition:
-        sizes = [self.size[v] for v in range(len(self.parent)) if self.find(v) == v]
-        return tuple(sorted(sizes, reverse=True))
+def _root_sizes(parent: list[int], size: list[int]) -> Partition:
+    roots = (size[v] for v in range(len(parent)) if parent[v] == v)
+    return tuple(sorted(roots, reverse=True))
+
+
+def component_partition(graph: Graph, subset: Sequence[Edge]) -> Partition:
+    """Component sizes of the spanning subgraph keeping only subset."""
+    known = set(graph.edges)
+    edges = [_normalize_edge(e) for e in subset]
+    for e in edges:
+        if e not in known:
+            raise ValueError(f"edge {e} is not in the graph")
+    parent = list(range(graph.n))
+    size = [1] * graph.n
+    _absorb(parent, size, edges, (1 << len(edges)) - 1)
+    return _root_sizes(parent, size)
 
 
 # ---------------------------------------------------------- constructors
@@ -190,9 +202,13 @@ class Family(Enum):
     EDGES = "edges"
 
 
+Params = tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class GraphSpec:
-    """Parsed description of a graph: a family plus its parameters.
+    """Parsed description of a graph: a family plus its parameters,
+    checked against the family's arity on construction.
 
     For EDGES, params holds just the vertex count and edge_list the
     explicit edges.  THETA and MULTIPATH params are canonicalized to
@@ -200,62 +216,98 @@ class GraphSpec:
     """
 
     family: Family
-    params: tuple[int, ...]
+    params: Params
     edge_list: tuple[Edge, ...] = ()
 
     def __post_init__(self):
-        if self.family in (Family.THETA, Family.MULTIPATH):
-            object.__setattr__(
-                self, "params", tuple(sorted(self.params, reverse=True))
-            )
+        row = FAMILIES[self.family]
+        if row.arity not in (None, len(self.params)):
+            raise ValueError(f"{self.family.value} takes {row.arity} "
+                             f"parameter(s), got {len(self.params)}")
+        if row.path_lengths:
+            object.__setattr__(self, "params", tuple(sorted(self.params, reverse=True)))
         if self.edge_list:
-            if self.family is not Family.EDGES:
+            if not row.explicit_edges:
                 raise ValueError("explicit edges only make sense for the edges family")
-            object.__setattr__(
-                self,
-                "edge_list",
-                tuple(sorted(_normalize_edge(e) for e in self.edge_list)),
-            )
+            edges = tuple(sorted(_normalize_edge(e) for e in self.edge_list))
+            object.__setattr__(self, "edge_list", edges)
 
 
-FAMILY_ARITY = {
-    Family.PATH: 1,
-    Family.CYCLE: 1,
-    Family.TADPOLE: 2,
-    Family.CYCLE_CHORD: 2,
-    Family.THETA: 3,
+@dataclass(frozen=True)
+class FamilyRow:
+    """Everything the package knows about one family keyword.
+
+    arity is None when variadic.  formula gives the name of the engine's
+    closed-form evaluator covering the params and its arguments, or
+    None when only the oracle can answer.  e_positive says whether
+    e-positivity is established, making a negative coefficient a hard
+    failure.  path_lengths params are unordered; only an explicit_edges
+    spec carries an edge list.
+    """
+
+    arity: int | None
+    build: Callable[[GraphSpec], Graph]
+    formula: Callable[[Params], tuple[str, Params] | None]
+    e_positive: Callable[[Params], bool]
+    path_lengths: bool = False
+    explicit_edges: bool = False
+
+
+def _proved(params: Params) -> bool:
+    return True
+
+
+def _chord_formula(arcs: Params) -> tuple[str, Params]:
+    # a unit arc puts the chord on a cycle edge
+    a, b = arcs
+    if min(a, b) == 1:
+        return "csf_cycle", (a + b,)
+    return "csf_cycle_chord", (a, b)
+
+
+def _multipath_formula(lengths: Params) -> tuple[str, Params] | None:
+    # one path is a path, two make a cycle, and a third of length 1 is
+    # a chord; lengths are weakly decreasing
+    if len(lengths) == 1:
+        return "csf_path", (lengths[0] + 1,)
+    if len(lengths) == 2:
+        return "csf_cycle", (lengths[0] + lengths[1],)
+    if len(lengths) == 3 and lengths[2] == 1:
+        return _chord_formula(lengths[:2])
+    return None
+
+
+def _multipath_positive(lengths: Params) -> bool:
+    # cycles, chorded cycles, and theta graphs with a path of length 2
+    return len(lengths) <= 2 or (len(lengths) == 3 and lengths[2] <= 2)
+
+
+def _spread(constructor: Callable[..., Graph]) -> Callable[[GraphSpec], Graph]:
+    return lambda spec: constructor(*spec.params)
+
+
+_MULTIPATH = FamilyRow(None, lambda spec: multipath_graph(spec.params), _multipath_formula,
+                       _multipath_positive, path_lengths=True)
+
+FAMILIES: dict[Family, FamilyRow] = {
+    Family.PATH: FamilyRow(1, _spread(path_graph), lambda p: ("csf_path", p), _proved),
+    Family.CYCLE: FamilyRow(1, _spread(cycle_graph), lambda p: ("csf_cycle", p), _proved),
+    Family.TADPOLE: FamilyRow(2, _spread(tadpole_graph), lambda p: ("csf_tadpole", p), _proved),
+    Family.CYCLE_CHORD: FamilyRow(2, _spread(cycle_chord_graph), _chord_formula, _proved),
+    Family.THETA: replace(_MULTIPATH, arity=3),
+    Family.MULTIPATH: _MULTIPATH,
+    Family.EDGES: FamilyRow(1, lambda spec: Graph(spec.params[0], spec.edge_list),
+                            lambda p: None, lambda p: False, explicit_edges=True),
 }
 
 
 def build_graph(spec: GraphSpec) -> Graph:
-    fam = spec.family
-    want = FAMILY_ARITY.get(fam)
-    if want is not None and len(spec.params) != want:
-        raise ValueError(
-            f"{fam.value} takes {want} parameter(s), got {len(spec.params)}"
-        )
-    if fam is Family.PATH:
-        return path_graph(spec.params[0])
-    if fam is Family.CYCLE:
-        return cycle_graph(spec.params[0])
-    if fam is Family.TADPOLE:
-        return tadpole_graph(*spec.params)
-    if fam is Family.CYCLE_CHORD:
-        return cycle_chord_graph(*spec.params)
-    if fam is Family.THETA:
-        return theta_graph(*spec.params)
-    if fam is Family.MULTIPATH:
-        return multipath_graph(spec.params)
-    if fam is Family.EDGES:
-        if len(spec.params) != 1:
-            raise ValueError("edges family takes exactly one vertex count")
-        return Graph(spec.params[0], spec.edge_list)
-    raise ValueError(f"unknown family {fam!r}")
+    return FAMILIES[spec.family].build(spec)
 
 
 def render_graph_spec(spec: GraphSpec) -> str:
     """Inverse of the CLI spec parser, in canonical form."""
-    if spec.family is Family.EDGES:
+    if FAMILIES[spec.family].explicit_edges:
         pairs = ",".join(f"{u}-{v}" for u, v in build_graph(spec).edges)
         return f"edges:{spec.params[0]};{pairs}"
     return f"{spec.family.value}:" + ",".join(str(p) for p in spec.params)
@@ -263,50 +315,33 @@ def render_graph_spec(spec: GraphSpec) -> str:
 
 # ------------------------------------------------------------- colorings
 
-def component_partition(graph: Graph, subset: Sequence[Edge]) -> Partition:
-    """Component sizes of the spanning subgraph keeping only subset."""
-    known = set(graph.edges)
-    uf = UnionFind(graph.n)
-    for e in subset:
-        e = _normalize_edge(e)
-        if e not in known:
-            raise ValueError(f"edge {e} is not in the graph")
-        uf.union(*e)
-    return uf.component_sizes()
-
-
 _CHROM_CACHE: dict[tuple[int, tuple[Edge, ...]], tuple[int, ...]] = {}
+
+# The memo keeps a polynomial per minor, so memory grows about
+# quadratically along a long path or cycle: cycle:500 peaks near 75 MB.
+_CHROM_MAX_EDGES = 500
 
 
 def _poly_sub(pa: tuple[int, ...], pb: tuple[int, ...]) -> tuple[int, ...]:
-    size = max(len(pa), len(pb))
-    return tuple(
-        (pa[i] if i < len(pa) else 0) - (pb[i] if i < len(pb) else 0)
-        for i in range(size)
-    )
+    return tuple(x - y for x, y in itertools.zip_longest(pa, pb, fillvalue=0))
 
 
-def _chrom_normalized(n: int, edges: tuple[Edge, ...]) -> tuple[int, ...]:
-    """Chromatic polynomial with isolated vertices stripped and the rest
-    relabeled by first appearance, so the memo key is stable."""
+def _kernel_form(n: int, edges: tuple[Edge, ...]):
+    """Isolated-vertex count and the memo key of the rest, relabeled by
+    first appearance; the key is None when no edge is left."""
     if not edges:
-        return (0,) * n + (1,)
+        return n, None
     used = sorted({v for e in edges for v in e})
     relabel = {v: i for i, v in enumerate(used)}
     kernel_edges = tuple(sorted(_normalize_edge((relabel[u], relabel[v])) for u, v in edges))
-    isolated = n - len(used)
-    kernel = _chrom_kernel(len(used), kernel_edges)
-    return (0,) * isolated + kernel
+    return n - len(used), (len(used), kernel_edges)
 
 
-def _chrom_kernel(n: int, edges: tuple[Edge, ...]) -> tuple[int, ...]:
-    """Deletion-contraction on a graph with no isolated vertices."""
-    key = (n, edges)
-    cached = _CHROM_CACHE.get(key)
-    if cached is not None:
-        return cached
+def _minors(key):
+    """Kernel forms of the graph with its first edge deleted and with
+    that edge contracted."""
+    n, edges = key
     u, v = edges[0]
-    deleted = _chrom_normalized(n, edges[1:])
     merged = set()
     for a, b in edges[1:]:
         if a == v:
@@ -315,21 +350,41 @@ def _chrom_kernel(n: int, edges: tuple[Edge, ...]) -> tuple[int, ...]:
             b = u
         if a != b:
             merged.add(_normalize_edge((a, b)))
-    shifted = tuple(
-        sorted(
-            (a - (a > v), b - (b > v))
-            for a, b in merged
-        )
-    )
-    contracted = _chrom_normalized(n - 1, shifted)
-    poly = _poly_sub(deleted, contracted)
-    _CHROM_CACHE[key] = poly
-    return poly
+    shifted = tuple(sorted((a - (a > v), b - (b > v)) for a, b in merged))
+    return _kernel_form(n, edges[1:]), _kernel_form(n - 1, shifted)
+
+
+def _padded(form) -> tuple[int, ...]:
+    isolated, key = form
+    return (0,) * isolated + (_CHROM_CACHE[key] if key is not None else (1,))
 
 
 def chromatic_polynomial(graph: Graph) -> tuple[int, ...]:
-    """Exact power-basis coefficients, index i giving the k**i term."""
-    return _chrom_normalized(graph.n, graph.edges)
+    """Exact power-basis coefficients, index i giving the k**i term.
+
+    Deletion-contraction over memoized minors, driven by an explicit
+    stack so long paths do not hit the interpreter's recursion limit.
+    The memo grows with the edge count, so the call refuses graphs
+    above _CHROM_MAX_EDGES edges.
+    """
+    if graph.m > _CHROM_MAX_EDGES:
+        raise ResourceLimitError(
+            f"deletion-contraction capped at {_CHROM_MAX_EDGES} edges, "
+            f"graph has {graph.m}"
+        )
+    top = _kernel_form(graph.n, graph.edges)
+    stack = [(top[1], None)]
+    while stack:
+        key, minors = stack.pop()
+        if key is None or key in _CHROM_CACHE:
+            continue
+        if minors is None:
+            minors = _minors(key)
+            stack.append((key, minors))
+            stack.extend((k, None) for _, k in minors)
+        else:
+            _CHROM_CACHE[key] = _poly_sub(*map(_padded, minors))
+    return _padded(top)
 
 
 def count_proper_colorings(graph: Graph, k: int) -> int:

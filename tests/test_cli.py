@@ -70,6 +70,12 @@ def test_parse_errors_carry_positions():
     with pytest.raises(SpecParseError) as err:
         parse_graph_spec("edges:4;0-1,2")
     assert err.value.pos == 12
+    # only ASCII digits: a superscript or an Arabic-Indic digit is not
+    # a parameter
+    for text in ("path:\u00b2", "path:\u0663"):
+        with pytest.raises(SpecParseError) as err:
+            parse_graph_spec(text)
+        assert err.value.pos == 5
 
 
 def test_parse_composition():
@@ -245,6 +251,34 @@ def test_scan_theta_resume(tmp_path, capsys):
     assert ck.read_text() == stamp
 
 
+def test_scan_theta_resumes_past_torn_last_line(tmp_path, capsys):
+    ck = tmp_path / "rows.jsonl"
+    assert main(["scan-theta", "--max-n", "7", "--resume", str(ck)]) == 0
+    fresh = capsys.readouterr().out
+    whole = ck.read_bytes()
+    assert whole.count(b"\n") == 10
+    ck.write_bytes(whole[:-30])
+    assert main(["scan-theta", "--max-n", "7", "--resume", str(ck)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == fresh
+    assert captured.err.count("torn line") == 1
+    assert ck.read_bytes() == whole
+    for line in ck.read_text().splitlines():
+        json.loads(line)
+
+
+def test_scan_theta_malformed_inner_line_exits_two(tmp_path, capsys):
+    ck = tmp_path / "rows.jsonl"
+    assert main(["scan-theta", "--max-n", "6", "--resume", str(ck)]) == 0
+    capsys.readouterr()
+    lines = ck.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:-20] + "\n"
+    ck.write_text("".join(lines))
+    assert main(["scan-theta", "--max-n", "6", "--resume", str(ck)]) == 2
+    assert "line 2 is not a scan row" in capsys.readouterr().err
+    assert ck.read_text() == "".join(lines)
+
+
 def test_scan_theta_bound_exit(capsys):
     assert main(["scan-theta", "--max-n", "9", "--max-edges", "8"]) == 1
     captured = capsys.readouterr()
@@ -282,6 +316,26 @@ def test_chrompoly_counts(capsys):
     assert main(["chrompoly", "path:3"]) == 0
     out = capsys.readouterr().out
     assert "k=2: 2" in out and "k=3: 12" in out
+
+
+def test_chrompoly_long_paths_never_trace_back():
+    # deletion-contraction runs without recursion, and a graph past its
+    # edge cap is a resource bound, not a crash
+    ok = subprocess.run(
+        [sys.executable, "-m", "chromsym", "chrompoly", "path:500", "--format", "json"],
+        capture_output=True,
+        text=True,
+    )
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["counts"][2] == 2
+    capped = subprocess.run(
+        [sys.executable, "-m", "chromsym", "chrompoly", "path:1200"],
+        capture_output=True,
+        text=True,
+    )
+    assert "Traceback" not in capped.stderr
+    assert capped.returncode == 1
+    assert capped.stderr.startswith("error: ") and capped.stderr.count("\n") == 1
 
 
 # ------------------------------------------------------------ exit codes

@@ -8,6 +8,7 @@ test_acceptance, by the independent coloring counter.
 """
 
 import random
+import time
 
 import pytest
 
@@ -376,3 +377,13 @@ def test_scan_parallel_matches_serial():
     serial = list(scan_theta(8))
     parallel = list(scan_theta(8, jobs=2))
     assert parallel == serial
+
+
+def test_closing_parallel_scan_cancels_pending_cells():
+    # the whole n <= 15 scan keeps two workers busy for several seconds;
+    # closing after one row only waits for the cells already running
+    it = scan_theta(15, jobs=2)
+    next(it)
+    start = time.perf_counter()
+    it.close()
+    assert time.perf_counter() - start < 2.0

@@ -16,7 +16,6 @@ from chromsym.graphs import (
     Graph,
     GraphSpec,
     ResourceLimitError,
-    UnionFind,
     build_graph,
     chromatic_polynomial,
     component_partition,
@@ -82,15 +81,6 @@ def test_graph_rejects_bad_edges():
 def test_adjacency_masks():
     g = Graph(4, ((0, 1), (1, 2), (1, 3)))
     assert g.adjacency_masks() == [0b0010, 0b1101, 0b0010, 0b0010]
-
-
-def test_union_find_components():
-    uf = UnionFind(5)
-    assert uf.union(0, 1)
-    assert uf.union(3, 4)
-    assert not uf.union(1, 0)
-    assert uf.components == 3
-    assert uf.component_sizes() == (2, 2, 1)
 
 
 # ----------------------------------------------------------- constructors
