@@ -1,7 +1,8 @@
 """Exact chromatic symmetric functions in the elementary basis.
 
 Closed-form expansions for paths, cycles, tadpoles, and chorded
-cycles, an independent edge-subset oracle for arbitrary graphs, and
+cycles, a power-sum transfer for multipath (theta) graphs, an
+independent edge-subset oracle for arbitrary graphs, and
 e-positivity certification, all in exact integer arithmetic.
 """
 
@@ -34,6 +35,7 @@ from .engine import (
     csf_cycle,
     csf_cycle_chord,
     csf_cycle_chord_signed,
+    csf_multipath,
     csf_oracle,
     csf_path,
     csf_tadpole,

@@ -251,30 +251,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan_theta(args) -> int:
-    rows = scan_theta(
-        args.max_n,
-        max_edges=args.max_edges,
-        checkpoint=args.resume,
-        jobs=args.jobs,
-    )
     last_n = None
-    try:
-        for row in rows:
-            if row.n != last_n:
-                print(f"scanning {row.n}-vertex theta graphs", file=sys.stderr)
-                last_n = row.n
-            if args.format == "json":
-                print(row.to_json())
-            else:
-                shape = ",".join(map(str, row.min_coeff_shape))
-                flag = "yes" if row.e_positive else "NO"
-                print(
-                    f"n={row.n} theta {row.a},{row.b},{row.c}: "
-                    f"e-positive {flag}, min coeff {row.min_coeff} at {shape}"
-                )
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for row in scan_theta(args.max_n, checkpoint=args.resume, jobs=args.jobs):
+        if row.n != last_n:
+            print(f"scanning {row.n}-vertex theta graphs", file=sys.stderr)
+            last_n = row.n
+        if args.format == "json":
+            print(row.to_json())
+        else:
+            shape = ",".join(map(str, row.min_coeff_shape))
+            flag = "yes" if row.e_positive else "NO"
+            print(
+                f"n={row.n} theta {row.a},{row.b},{row.c}: "
+                f"e-positive {flag}, min coeff {row.min_coeff} at {shape}"
+            )
     return 0
 
 
@@ -361,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON-lines checkpoint to append to and resume from")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
     _add_format(p, latex=False)
-    _add_max_edges(p)
     p.set_defaults(handler=cmd_scan_theta)
 
     p = sub.add_parser("nice", help="check dominance-closure of stable partition shapes")

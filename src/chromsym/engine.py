@@ -1,12 +1,16 @@
 """Chromatic symmetric functions: closed-form evaluators for the
-benchmark families, an edge-subset oracle, cross-verification, and an
-e-positivity scanner for theta graphs.
+benchmark families, a power-sum transfer for multipath graphs, an
+edge-subset oracle, cross-verification, and an e-positivity scanner for
+theta graphs.
 
-Every formula here expands in the elementary basis as a weighted sum
-over compositions of the vertex count, with composition_weight carrying
-the part-size factors and a per-family coefficient on top.  The oracle
-recomputes the same functions from scratch by inclusion-exclusion over
-edge subsets, sharing no code path with the formulas.
+The path, cycle, tadpole and chorded-cycle formulas expand in the
+elementary basis as weighted sums over compositions of the vertex
+count, with composition_weight carrying the part-size factors and a
+per-family coefficient on top.  csf_multipath builds a multipath
+graph's power-sum expansion path by path and converts it once; the
+theta scan runs every cell through it.  The oracle recomputes any
+graph's function from scratch by inclusion-exclusion over edge subsets,
+sharing no code path with the formulas or the transfer.
 """
 
 from __future__ import annotations
@@ -15,9 +19,11 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from math import factorial
+from typing import Callable, Iterable, Iterator
 
 from .compositions import (
     Composition,
@@ -27,6 +33,7 @@ from .compositions import (
     compositions,
     deficiency,
     partition_of,
+    partitions,
     surplus,
 )
 from .graphs import (
@@ -35,10 +42,11 @@ from .graphs import (
     GraphSpec,
     ResourceLimitError,
     _absorb,
+    _multipath_lengths,
     _root_sizes,
     build_graph,
     count_proper_colorings,
-    theta_graph,
+    theta_graph,  # unused here; the benchmark's tracer wraps engine.theta_graph by name
     triple_split_graphs,
 )
 from .symfunc import (
@@ -153,6 +161,83 @@ def csf_cycle_chord_signed(a: int, b: int) -> SymFunc:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
     return _aggregate(n, lambda comp: signed_chord_weight(comp, b))
+
+
+# --------------------------------------------------- multipath transfer
+
+PowerSumTerms = dict[Partition, int]
+
+
+def _free_path_terms(r: int) -> PowerSumTerms:
+    """Power-sum expansion of the path on r vertices by the signed
+    edge-subset sum: a subset leaving k components cuts the path into a
+    composition of r with k parts and has sign (-1)**(r - k), so p_mu
+    collects the k!/prod m_i(mu)! arrangements of mu's parts."""
+    terms = {}
+    for mu in partitions(r):
+        arrangements = factorial(len(mu))
+        for multiplicity in Counter(mu).values():
+            arrangements //= factorial(multiplicity)
+        terms[mu] = (-1) ** (r - len(mu)) * arrangements
+    return terms
+
+
+def _times(f: PowerSumTerms, g: PowerSumTerms, scale: int) -> PowerSumTerms:
+    """scale * f * g, as power-sum terms."""
+    out: PowerSumTerms = {}
+    for lam, a in f.items():
+        for mu, b in g.items():
+            key = tuple(sorted(lam + mu, reverse=True))
+            out[key] = out.get(key, 0) + scale * a * b
+    return out
+
+
+def _accumulate(acc: PowerSumTerms, f: PowerSumTerms, scale: int = 1) -> None:
+    for lam, c in f.items():
+        acc[lam] = acc.get(lam, 0) + scale * c
+
+
+def csf_multipath(lengths: Iterable[int]) -> SymFunc:
+    """Chromatic symmetric function of two hubs joined by internally
+    disjoint paths of the given edge lengths (theta graphs have three).
+
+    Transfers Stanley's signed edge-subset expansion, sum over S of
+    (-1)**|S| p_(component sizes), across the paths one at a time
+    instead of enumerating the 2**m subsets.  A path of l edges is
+    either fully kept, merging the hubs with sign (-1)**l, or it joins
+    x inner vertices to hub 0 and y to hub 1 with sign (-1)**(x + y)
+    and leaves a free middle path on r = l - 1 - x - y vertices.  The
+    state is (vertices on hub 0, vertices on hub 1, hubs merged); once
+    merged only the total matters, and every (x, y) split of one r
+    shares a single product with the middle's expansion.  The hub
+    components close the sum: p_(2 + X + Y) merged, p_(1 + X) p_(1 + Y)
+    apart.
+    """
+    lam = _multipath_lengths(lengths)
+    free = [_free_path_terms(r) for r in range(lam[0])]
+    states: dict[tuple[int, int, bool], PowerSumTerms] = {(0, 0, False): {(): 1}}
+    # shortest paths first, so fewer states meet the long paths' loops
+    for length in reversed(lam):
+        step: dict[tuple[int, int, bool], PowerSumTerms] = {}
+        for (x0, y0, merged), poly in states.items():
+            kept = (x0 + y0 + length - 1, 0, True)
+            _accumulate(step.setdefault(kept, {}), poly, (-1) ** length)
+            for r in range(length):
+                attached = length - 1 - r
+                middle = _times(poly, free[r], (-1) ** attached)
+                if merged:
+                    key = (x0 + attached, 0, True)
+                    _accumulate(step.setdefault(key, {}), middle, attached + 1)
+                    continue
+                for x in range(attached + 1):
+                    key = (x0 + x, y0 + attached - x, False)
+                    _accumulate(step.setdefault(key, {}), middle)
+        states = step
+    total: PowerSumTerms = {}
+    for (x, y, merged), poly in states.items():
+        hubs = (2 + x,) if merged else (1 + x, 1 + y)
+        _accumulate(total, _times(poly, {tuple(sorted(hubs, reverse=True)): 1}, 1))
+    return p_to_e(SymFunc(Basis.POWERSUM, total))
 
 
 # ----------------------------------------------------------------- oracle
@@ -371,11 +456,7 @@ def theta_scan_cells(n_max: int) -> list[tuple[int, int, int]]:
 def _scan_cell(cell: tuple[int, int, int]) -> ThetaScanRow:
     a, b, c = cell
     n = a + b + c - 1
-    if c == 1:
-        # chorded-cycle formula, no subset enumeration needed
-        x = csf_cycle_chord(a, b)
-    else:
-        x = csf_oracle(theta_graph(a, b, c), max_edges=n + 1)
+    x = csf_multipath(cell)
     report = is_e_positive(x)
     lam, coeff = min(x.sorted_terms(), key=lambda item: (item[1], item[0]))
     return ThetaScanRow(
@@ -417,29 +498,19 @@ def _load_checkpoint(path: str) -> dict[tuple[int, int, int], ThetaScanRow]:
 
 def scan_theta(
     n_max: int,
-    max_edges: int = DEFAULT_MAX_EDGES,
     checkpoint: str | None = None,
     jobs: int = 1,
 ) -> Iterator[ThetaScanRow]:
     """Stream e-positivity rows for every theta graph with at most
     n_max vertices, in (n, a, b, c) order.
 
-    With a checkpoint path, finished rows are appended as JSON lines
-    and a rerun replays them without recomputation.  Cells needing an
-    oracle call beyond max_edges are skipped, never checkpointed, and
-    reported in one ResourceLimitError once everything runnable has
-    been yielded; cells covered by the closed formula have no edge
-    bound at all.
+    Every cell goes through csf_multipath, so no cell has an edge
+    bound.  With a checkpoint path, finished rows are appended as JSON
+    lines and a rerun replays them without recomputation.
     """
     done = _load_checkpoint(checkpoint) if checkpoint else {}
     cells = theta_scan_cells(n_max)
-    skipped = [
-        cell
-        for cell in cells
-        if cell not in done and cell[2] >= 2 and sum(cell) > max_edges
-    ]
-    over = set(skipped)
-    pending = [cell for cell in cells if cell not in done and cell not in over]
+    pending = [cell for cell in cells if cell not in done]
 
     fresh: Iterator[ThetaScanRow]
     if jobs > 1 and pending:
@@ -455,8 +526,6 @@ def scan_theta(
             if cell in done:
                 yield done[cell]
                 continue
-            if cell in over:
-                continue
             row = next(fresh)
             if sink:
                 sink.write(row.to_json() + "\n")
@@ -467,8 +536,3 @@ def scan_theta(
             sink.close()
         if pool:
             pool.shutdown(cancel_futures=True)
-    if skipped:
-        raise ResourceLimitError(
-            f"{len(skipped)} theta cell(s) need oracles beyond max_edges="
-            f"{max_edges}, first {skipped[0]}; raise the bound to scan them"
-        )

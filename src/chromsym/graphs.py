@@ -157,14 +157,9 @@ def cycle_chord_graph(a: int, b: int) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def multipath_graph(path_lengths: Iterable[int]) -> Graph:
-    """Two hub vertices 0 and 1 joined by internally disjoint paths,
-    one of each given edge length.
-
-    A second length-1 path would duplicate the hub edge, so at most one
-    part may equal 1.  The vertex count is (sum of lengths) - (number
-    of paths) + 2.
-    """
+def _multipath_lengths(path_lengths: Iterable[int]) -> tuple[int, ...]:
+    """Path lengths sorted descending, checked to describe a simple
+    multipath graph."""
     lam = tuple(sorted(path_lengths, reverse=True))
     if not lam:
         raise ValueError("need at least one path length")
@@ -175,6 +170,18 @@ def multipath_graph(path_lengths: Iterable[int]) -> Graph:
             "at most one path may have length 1: a second one would "
             "repeat the edge between the two hub vertices"
         )
+    return lam
+
+
+def multipath_graph(path_lengths: Iterable[int]) -> Graph:
+    """Two hub vertices 0 and 1 joined by internally disjoint paths,
+    one of each given edge length.
+
+    A second length-1 path would duplicate the hub edge, so at most one
+    part may equal 1.  The vertex count is (sum of lengths) - (number
+    of paths) + 2.
+    """
+    lam = _multipath_lengths(path_lengths)
     edges = []
     nxt = 2
     for length in lam:

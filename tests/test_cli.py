@@ -279,12 +279,12 @@ def test_scan_theta_malformed_inner_line_exits_two(tmp_path, capsys):
     assert ck.read_text() == "".join(lines)
 
 
-def test_scan_theta_bound_exit(capsys):
-    assert main(["scan-theta", "--max-n", "9", "--max-edges", "8"]) == 1
-    captured = capsys.readouterr()
-    assert "raise the bound" in captured.err
-    # the formula-covered cells still made it out
-    assert "theta 7,2,1" in captured.out
+def test_scan_theta_has_no_edge_bound(capsys):
+    # no cell needs the edge-subset oracle, so there is no cap to set
+    with pytest.raises(SystemExit) as exc:
+        main(["scan-theta", "--max-n", "9", "--max-edges", "8"])
+    assert exc.value.code == 2
+    assert "--max-edges" in capsys.readouterr().err
 
 
 def test_scan_theta_requires_max_n():

@@ -11,13 +11,17 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromsym.engine import (
     ThetaScanRow,
+    _free_path_terms,
     check_triple_deletion,
     csf_cycle,
     csf_cycle_chord,
     csf_cycle_chord_signed,
+    csf_multipath,
     csf_oracle,
     csf_path,
     csf_tadpole,
@@ -33,11 +37,12 @@ from chromsym.graphs import (
     ResourceLimitError,
     cycle_chord_graph,
     cycle_graph,
+    multipath_graph,
     path_graph,
     tadpole_graph,
     theta_graph,
 )
-from chromsym.symfunc import Basis, SymFunc, monomial, render_latex
+from chromsym.symfunc import Basis, SymFunc, monomial, p_to_e, render_latex
 
 
 def random_graph(rng, n, p=0.35):
@@ -195,6 +200,47 @@ def test_oracle_crosses_block_boundary():
     # more than 12 edges exercises the blocked enumeration path
     g = path_graph(15)
     assert csf_oracle(g) == csf_path(15)
+
+
+# ---------------------------------------------------- multipath transfer
+
+@st.composite
+def multipath_lengths(draw):
+    """One to five path lengths, at most 14 edges, at most one unit path."""
+    unit = draw(st.booleans())
+    count = draw(st.integers(0 if unit else 1, 5 - unit))
+    budget = 14 - unit
+    lengths = [1] if unit else []
+    for left in range(count, 0, -1):
+        length = draw(st.integers(2, budget - 2 * (left - 1)))
+        lengths.append(length)
+        budget -= length
+    return draw(st.permutations(lengths))
+
+
+@settings(max_examples=80, deadline=None)
+@given(multipath_lengths())
+def test_multipath_transfer_matches_oracle(lengths):
+    assert csf_multipath(lengths) == csf_oracle(multipath_graph(lengths))
+
+
+def test_multipath_transfer_covers_theta_cells():
+    for a, b, c in theta_scan_cells(11):
+        x = csf_multipath((a, b, c))
+        assert x == csf_oracle(theta_graph(a, b, c)), (a, b, c)
+        if c == 1:
+            assert x == csf_cycle_chord(a, b), (a, b)
+
+
+def test_free_path_power_sums_match_composition_formula():
+    for r in range(1, 13):
+        assert p_to_e(SymFunc(Basis.POWERSUM, _free_path_terms(r))) == csf_path(r)
+
+
+def test_multipath_transfer_rejects_what_the_builder_rejects():
+    for lengths in [(), (3, 0), (1, 1, 2)]:
+        with pytest.raises(ValueError):
+            csf_multipath(lengths)
 
 
 # --------------------------------------------------------- verification
@@ -355,22 +401,13 @@ def test_scan_partial_interrupt_resume(tmp_path):
     assert resumed == list(scan_theta(7))
 
 
-def test_scan_skips_oversized_cells(tmp_path):
+def test_scan_records_every_cell(tmp_path):
+    # every cell takes the multipath transfer, so none is held back
     ck = tmp_path / "scan.jsonl"
-    rows = []
-    with pytest.raises(ResourceLimitError):
-        for row in scan_theta(9, max_edges=8, checkpoint=str(ck)):
-            rows.append(row)
-    # formula-backed cells (c == 1) carry on past the oracle bound
-    assert all(r.c == 1 or r.n + 1 <= 8 for r in rows)
-    assert any(r.c == 1 and r.n == 9 for r in rows)
-    skipped = {cell for cell in theta_scan_cells(9) if cell[2] >= 2 and sum(cell) > 8}
-    assert {r.cell() for r in rows} | skipped == set(theta_scan_cells(9))
-    # skipped cells never enter the checkpoint, so a bigger budget
-    # computes them on resume
-    assert len(ck.read_text().splitlines()) == len(rows)
-    full = list(scan_theta(9, checkpoint=str(ck)))
-    assert [r.cell() for r in full] == theta_scan_cells(9)
+    rows = list(scan_theta(9, checkpoint=str(ck)))
+    assert [r.cell() for r in rows] == theta_scan_cells(9)
+    recorded = [ThetaScanRow.from_json(line) for line in ck.read_text().splitlines()]
+    assert recorded == rows
 
 
 def test_scan_parallel_matches_serial():
@@ -380,9 +417,9 @@ def test_scan_parallel_matches_serial():
 
 
 def test_closing_parallel_scan_cancels_pending_cells():
-    # the whole n <= 15 scan keeps two workers busy for several seconds;
+    # the whole n <= 19 scan keeps two workers busy for about 7 seconds;
     # closing after one row only waits for the cells already running
-    it = scan_theta(15, jobs=2)
+    it = scan_theta(19, jobs=2)
     next(it)
     start = time.perf_counter()
     it.close()
