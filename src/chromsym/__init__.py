@@ -12,16 +12,12 @@ from .compositions import (
     SegmentDissection,
     SplitParams,
     chord_weight,
-    chord_weight_by_segments,
     composition_weight,
     compositions,
-    deficiency,
     dominance_leq,
     e2_sym,
     partition_of,
     partitions,
-    reverse,
-    reverse_tail,
     segment_dissection,
     split_params,
     surplus,
@@ -34,13 +30,11 @@ from .engine import (
     closed_formula,
     csf_cycle,
     csf_cycle_chord,
-    csf_cycle_chord_signed,
     csf_multipath,
     csf_oracle,
     csf_path,
     csf_tadpole,
     scan_theta,
-    signed_chord_weight,
     theta_scan_cells,
     verify,
 )
@@ -51,7 +45,6 @@ from .graphs import (
     ResourceLimitError,
     build_graph,
     chromatic_polynomial,
-    component_partition,
     count_proper_colorings,
     cycle_chord_graph,
     cycle_graph,
@@ -68,7 +61,6 @@ from .symfunc import (
     Basis,
     EPositivityReport,
     SymFunc,
-    from_json_dict,
     is_e_positive,
     monomial,
     p_to_e,

@@ -23,6 +23,7 @@ from .engine import (
     DEFAULT_MAX_EDGES,
     VerificationReport,
     closed_formula,
+    csf_multipath,
     csf_oracle,
     scan_theta,
     verify,
@@ -127,7 +128,10 @@ def cmd_csf(args) -> int:
     graph = build_graph(spec)
     x = closed_formula(spec)
     source = "formula"
-    if x is None:
+    if x is None and FAMILIES[spec.family].path_lengths:
+        x = csf_multipath(spec.params)
+        source = "transfer"
+    elif x is None:
         x = csf_oracle(graph, args.max_edges)
         source = "oracle"
     if args.format == "json":
@@ -313,6 +317,12 @@ def _add_format(sub, *, latex: bool) -> None:
                      help="output format (default: text)")
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_max_edges(sub) -> None:
     sub.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES,
                      help="edge cap for the 2**m oracle "
@@ -349,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest vertex count to scan")
     p.add_argument("--resume", metavar="FILE", default=None,
                    help="JSON-lines checkpoint to append to and resume from")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes (default: 1)")
     _add_format(p, latex=False)
     p.set_defaults(handler=cmd_scan_theta)
 

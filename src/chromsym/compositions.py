@@ -61,20 +61,6 @@ def partition_of(parts: Composition) -> Partition:
     return tuple(sorted(parts, reverse=True))
 
 
-def reverse(comp: Composition) -> Composition:
-    return comp[::-1]
-
-
-def reverse_tail(comp: Composition) -> Composition:
-    """Fix the first part and reverse the rest.
-
-    An involution on compositions that preserves both the underlying
-    partition and composition_weight, and swaps the two split indices
-    used by the chord-weight formula.
-    """
-    return comp[:1] + comp[:0:-1]
-
-
 def composition_weight(comp: Composition) -> int:
     """First part times (part - 1) over the remaining parts.
 
@@ -110,21 +96,6 @@ def surplus(comp: Composition, a: int) -> int:
             break
         acc += p
     return acc - a
-
-
-def deficiency(comp: Composition, a: int) -> int:
-    """Distance from a down to the nearest prefix sum of comp.
-
-    Mirror of surplus: deficiency(comp, a) equals
-    surplus(reverse(comp), n - a).
-    """
-    _check_point(comp, a)
-    acc = 0
-    for p in comp:
-        if acc + p > a:
-            break
-        acc += p
-    return a - acc
 
 
 class SplitParams(NamedTuple):
@@ -182,8 +153,7 @@ def chord_weight(comp: Composition, b: int) -> int:
     Case split on the two readings of split_params: when the rotated
     index lags (q = p - 1, equivalently i_1 <= i_p - s) the weight is
     s * (i_p - s - i_1); otherwise it is e2_sym of the chain
-    (i_p - s, i_(p+1), ..., i_q, t).  Always nonnegative;
-    chord_weight_by_segments computes the same number geometrically.
+    (i_p - s, i_(p+1), ..., i_q, t).  Always nonnegative.
     """
     n = sum(comp)
     if not 2 <= b <= n - 2:
@@ -237,25 +207,6 @@ def segment_dissection(comp: Composition, b: int) -> SegmentDissection:
         segs.append((x, x + length))
         x += length
     return SegmentDissection(tuple(segs), (b, b + i1))
-
-
-def chord_weight_by_segments(comp: Composition, b: int) -> int:
-    """chord_weight computed from the segment picture.
-
-    If the window lies inside a single segment the weight is the
-    product of the two leftover lengths on either side (zero exactly
-    when the window is flush against a segment boundary); otherwise it
-    is e2_sym of the nonempty window-segment intersection lengths.
-    """
-    n = sum(comp)
-    if not 2 <= b <= n - 2:
-        raise ValueError(f"chord distance must lie in [2, {n - 2}], got {b}")
-    d = segment_dissection(comp, b)
-    seg = d.window_inside()
-    if seg is not None:
-        lo, hi = d.window
-        return (lo - seg[0]) * (seg[1] - hi)
-    return e2_sym(d.overlaps())
 
 
 def dominance_leq(mu: Partition, lam: Partition) -> bool:

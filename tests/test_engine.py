@@ -14,19 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chromsym.engine as engine
+import chromsym.symfunc as symfunc
 from chromsym.engine import (
     ThetaScanRow,
-    _free_path_terms,
     check_triple_deletion,
     csf_cycle,
     csf_cycle_chord,
-    csf_cycle_chord_signed,
     csf_multipath,
     csf_oracle,
     csf_path,
     csf_tadpole,
     scan_theta,
-    signed_chord_weight,
     theta_scan_cells,
     verify,
 )
@@ -43,6 +42,7 @@ from chromsym.graphs import (
     theta_graph,
 )
 from chromsym.symfunc import Basis, SymFunc, monomial, p_to_e, render_latex
+from reference import csf_cycle_chord_signed, signed_chord_weight
 
 
 def random_graph(rng, n, p=0.35):
@@ -234,7 +234,20 @@ def test_multipath_transfer_covers_theta_cells():
 
 def test_free_path_power_sums_match_composition_formula():
     for r in range(1, 13):
-        assert p_to_e(SymFunc(Basis.POWERSUM, _free_path_terms(r))) == csf_path(r)
+        assert p_to_e(SymFunc(Basis.POWERSUM, symfunc._signed_arrangements(r))) == csf_path(r)
+
+
+def test_transfer_and_conversion_share_one_arrangement_table(monkeypatch):
+    # a wrong entry planted in the shared table reaches both users, so a
+    # second copy of the table cannot come back unnoticed
+    table = symfunc._signed_arrangements(3)
+    monkeypatch.setattr(engine, "p_to_e", lambda f: f)  # keep the transfer's p-basis sum
+    honest_sum = csf_multipath((4, 2, 2))
+    honest_image = symfunc._power_image(3)
+    monkeypatch.setattr(symfunc, "_ARRANGEMENTS", {3: {**table, (3,): table[(3,)] + 1}})
+    monkeypatch.setattr(symfunc, "_POWER_IMAGE", {})
+    assert csf_multipath((4, 2, 2)) != honest_sum
+    assert symfunc._power_image(3) != honest_image
 
 
 def test_multipath_transfer_rejects_what_the_builder_rejects():

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import chromsym.graphs as graphs
 from chromsym.compositions import partitions
 from chromsym.graphs import (
     Family,
@@ -18,7 +19,6 @@ from chromsym.graphs import (
     ResourceLimitError,
     build_graph,
     chromatic_polynomial,
-    component_partition,
     count_proper_colorings,
     cycle_chord_graph,
     cycle_graph,
@@ -31,6 +31,7 @@ from chromsym.graphs import (
     theta_graph,
     triple_split_graphs,
 )
+from reference import component_partition
 
 
 # ---------------------------------------------------------------- oracles
@@ -324,11 +325,12 @@ def test_stable_partition_types_against_brute_force():
         assert stable_partition_types(g) == brute_types(g), g
 
 
-def test_stable_partition_types_resource_cap():
+def test_stable_partition_types_resource_cap(monkeypatch):
     with pytest.raises(ResourceLimitError):
         stable_partition_types(path_graph(13))
-    # explicit override unlocks bigger graphs
-    assert (13,) not in stable_partition_types(path_graph(13), max_vertices=13)
+    # a higher cap unlocks bigger graphs
+    monkeypatch.setattr(graphs, "_STABLE_MAX_VERTICES", 13)
+    assert (13,) not in stable_partition_types(path_graph(13))
 
 
 def test_is_nice_witnesses():

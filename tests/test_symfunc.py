@@ -13,10 +13,10 @@ import random
 import pytest
 
 from chromsym.symfunc import (
+    _power_image,
     Basis,
     EPositivityReport,
     SymFunc,
-    from_json_dict,
     is_e_positive,
     monomial,
     p_to_e,
@@ -26,6 +26,7 @@ from chromsym.symfunc import (
     term_sort_key,
     to_json_dict,
 )
+from reference import from_json_dict, power_image_by_newton
 
 E = Basis.ELEMENTARY
 P = Basis.POWERSUM
@@ -177,6 +178,11 @@ def test_p_to_e_frozen_small_images():
         monomial(E, (1, 1, 1)) - 3 * monomial(E, (2, 1)) + 3 * monomial(E, (3,))
     )
     assert p_to_e(monomial(P, (), 4)) == monomial(E, (), 4)
+
+
+def test_power_image_matches_newton_recurrence():
+    for m in range(1, 23):
+        assert _power_image(m) == power_image_by_newton(m), m
 
 
 def test_p_to_e_rejects_elementary_input():
