@@ -51,6 +51,7 @@ from .symfunc import (
     Basis,
     EPositivityReport,
     SymFunc,
+    _multiply_into,
     _signed_arrangements,
     is_e_positive,
     p_to_e,
@@ -79,11 +80,7 @@ def _aggregate(n: int, coeff: Callable[[Composition], int]) -> SymFunc:
         if c == 0:
             continue
         lam = partition_of(comp)
-        new = acc.get(lam, 0) + c * w
-        if new:
-            acc[lam] = new
-        else:
-            del acc[lam]
+        acc[lam] = acc.get(lam, 0) + c * w
     return SymFunc(Basis.ELEMENTARY, acc)
 
 
@@ -140,16 +137,6 @@ def csf_cycle_chord(a: int, b: int) -> SymFunc:
 PowerSumTerms = dict[Partition, int]
 
 
-def _times(f: PowerSumTerms, g: PowerSumTerms, scale: int) -> PowerSumTerms:
-    """scale * f * g, as power-sum terms."""
-    out: PowerSumTerms = {}
-    for lam, a in f.items():
-        for mu, b in g.items():
-            key = tuple(sorted(lam + mu, reverse=True))
-            out[key] = out.get(key, 0) + scale * a * b
-    return out
-
-
 def _accumulate(acc: PowerSumTerms, f: PowerSumTerms, scale: int = 1) -> None:
     for lam, c in f.items():
         acc[lam] = acc.get(lam, 0) + scale * c
@@ -165,11 +152,11 @@ def csf_multipath(lengths: Iterable[int]) -> SymFunc:
     either fully kept, merging the hubs with sign (-1)**l, or it joins
     x inner vertices to hub 0 and y to hub 1 with sign (-1)**(x + y)
     and leaves a free middle path on r = l - 1 - x - y vertices, whose
-    expansion is _signed_arrangements(r).  The state is (vertices on hub 0, vertices on hub 1, hubs merged); once
-    merged only the total matters, and every (x, y) split of one r
-    shares a single product with the middle's expansion.  The hub
-    components close the sum: p_(2 + X + Y) merged, p_(1 + X) p_(1 + Y)
-    apart.
+    expansion is _signed_arrangements(r).  The state is (vertices on
+    hub 0, vertices on hub 1, hubs merged); once merged only the total
+    matters, and every (x, y) split of one r shares a single product
+    with the middle's expansion.  The hub components close the sum:
+    p_(2 + X + Y) merged, p_(1 + X) p_(1 + Y) apart.
     """
     lam = _multipath_lengths(lengths)
     free = [_signed_arrangements(r) for r in range(lam[0])]
@@ -182,7 +169,8 @@ def csf_multipath(lengths: Iterable[int]) -> SymFunc:
             _accumulate(step.setdefault(kept, {}), poly, (-1) ** length)
             for r in range(length):
                 attached = length - 1 - r
-                middle = _times(poly, free[r], (-1) ** attached)
+                middle: PowerSumTerms = {}
+                _multiply_into(middle, poly, free[r], (-1) ** attached)
                 if merged:
                     key = (x0 + attached, 0, True)
                     _accumulate(step.setdefault(key, {}), middle, attached + 1)
@@ -194,7 +182,7 @@ def csf_multipath(lengths: Iterable[int]) -> SymFunc:
     total: PowerSumTerms = {}
     for (x, y, merged), poly in states.items():
         hubs = (2 + x,) if merged else (1 + x, 1 + y)
-        _accumulate(total, _times(poly, {tuple(sorted(hubs, reverse=True)): 1}, 1))
+        _multiply_into(total, poly, {tuple(sorted(hubs, reverse=True)): 1})
     return p_to_e(SymFunc(Basis.POWERSUM, total))
 
 
@@ -231,8 +219,7 @@ def csf_oracle(graph: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> SymFunc:
             shape = _root_sizes(parent, size)
             sign = -high_sign if low_mask.bit_count() & 1 else high_sign
             acc[shape] = acc.get(shape, 0) + sign
-    terms = {lam: c for lam, c in acc.items() if c}
-    return p_to_e(SymFunc(Basis.POWERSUM, terms))
+    return p_to_e(SymFunc(Basis.POWERSUM, acc))
 
 
 # ----------------------------------------------------------- verification

@@ -314,6 +314,10 @@ _CHROM_CACHE: dict[tuple[int, tuple[Edge, ...]], tuple[int, ...]] = {}
 # The memo keeps a polynomial per minor, so memory grows about
 # quadratically along a long path or cycle: cycle:500 peaks near 75 MB.
 _CHROM_MAX_EDGES = 500
+# Minors one call may add to the memo.  Family graphs and complete
+# graphs stay far below it (cycle:500 adds 1 494, K16 120), while a
+# random graph G(14, 1/2) can need 61 000 (3 s, 107 MB).
+_CHROM_MAX_MINORS = 20_000
 
 
 def _poly_sub(pa: tuple[int, ...], pb: tuple[int, ...]) -> tuple[int, ...]:
@@ -359,7 +363,8 @@ def chromatic_polynomial(graph: Graph) -> tuple[int, ...]:
     Deletion-contraction over memoized minors, driven by an explicit
     stack so long paths do not hit the interpreter's recursion limit.
     The memo grows with the edge count, so the call refuses graphs
-    above _CHROM_MAX_EDGES edges.
+    above _CHROM_MAX_EDGES edges, and stops once it has added
+    _CHROM_MAX_MINORS minors (counted per call, as the memo is shared).
     """
     if graph.m > _CHROM_MAX_EDGES:
         raise ResourceLimitError(
@@ -368,11 +373,18 @@ def chromatic_polynomial(graph: Graph) -> tuple[int, ...]:
         )
     top = _kernel_form(graph.n, graph.edges)
     stack = [(top[1], None)]
+    added = 0
     while stack:
         key, minors = stack.pop()
         if key is None or key in _CHROM_CACHE:
             continue
         if minors is None:
+            added += 1
+            if added > _CHROM_MAX_MINORS:
+                raise ResourceLimitError(
+                    f"deletion-contraction capped at {_CHROM_MAX_MINORS} "
+                    "new minors, this graph needs more"
+                )
             minors = _minors(key)
             stack.append((key, minors))
             stack.extend((k, None) for _, k in minors)

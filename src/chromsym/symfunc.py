@@ -98,11 +98,7 @@ class SymFunc:
         self._check_basis(other)
         out = dict(self._terms)
         for lam, c in other._terms.items():
-            new = out.get(lam, 0) + c
-            if new:
-                out[lam] = new
-            else:
-                del out[lam]
+            out[lam] = out.get(lam, 0) + c
         return SymFunc(self.basis, out)
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
@@ -129,14 +125,7 @@ class SymFunc:
         if self.basis is not Basis.ELEMENTARY:
             raise ValueError("products are implemented in the elementary basis only")
         out: dict[Partition, int] = {}
-        for lam, a in self._terms.items():
-            for mu, b in other._terms.items():
-                key = tuple(sorted(lam + mu, reverse=True))
-                new = out.get(key, 0) + a * b
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
+        _multiply_into(out, self._terms, other._terms)
         return SymFunc(self.basis, out)
 
     def __rmul__(self, other):
@@ -153,14 +142,29 @@ def monomial(basis: Basis, lam: Iterable[int], coeff: int = 1) -> SymFunc:
     return SymFunc(basis, {tuple(lam): coeff})
 
 
+def _multiply_into(
+    out: dict[Partition, int],
+    f: Mapping[Partition, int],
+    g: Mapping[Partition, int],
+    scale: int = 1,
+) -> None:
+    """out += scale * f * g, for terms in a multiplicative basis (e or
+    p), where the product of two basis elements joins their parts.
+    Cancelled terms stay in out as zeros until a SymFunc drops them."""
+    for lam, a in f.items():
+        for mu, b in g.items():
+            key = tuple(sorted(lam + mu, reverse=True))
+            out[key] = out.get(key, 0) + scale * a * b
+
+
 # ------------------------------------------------------- basis conversion
 
-# Per-process caches.  Conversion cost is dominated by repeated small
-# products, so caching per degree and per partition pays off across a
-# scan.
+# Per-process caches, keyed by degree, so their size is bounded by the
+# largest degree seen.  Nothing is cached per partition: p_to_e groups
+# its input by largest part, so each p_m image is multiplied in once
+# per group rather than once per input partition.
 _ARRANGEMENTS: dict[int, Mapping[Partition, int]] = {}
 _POWER_IMAGE: dict[int, SymFunc] = {}
-_POWER_PARTITION_IMAGE: dict[Partition, SymFunc] = {}
 
 
 def _signed_arrangements(r: int) -> Mapping[Partition, int]:
@@ -197,30 +201,28 @@ def _power_image(m: int) -> SymFunc:
     return cached
 
 
-def _power_partition_image(lam: Partition) -> SymFunc:
-    cached = _POWER_PARTITION_IMAGE.get(lam)
-    if cached is not None:
-        return cached
-    image = monomial(Basis.ELEMENTARY, ())
-    for part in lam:
-        image = image * _power_image(part)
-    _POWER_PARTITION_IMAGE[lam] = image
-    return image
+def _p_to_e_terms(terms: Mapping[Partition, int]) -> dict[Partition, int]:
+    """Elementary terms of a power-sum combination, by Horner grouping
+    on the largest part: f = c_() + sum over k of p_k * f_k, where f_k
+    collects the tails lam[1:] of the partitions with lam[0] = k and is
+    converted the same way."""
+    out: dict[Partition, int] = {}
+    tails: dict[int, dict[Partition, int]] = {}
+    for lam, c in terms.items():
+        if lam:
+            tails.setdefault(lam[0], {})[lam[1:]] = c
+        else:
+            out[()] = c
+    for k, tail in tails.items():
+        _multiply_into(out, _power_image(k)._terms, _p_to_e_terms(tail))
+    return out
 
 
 def p_to_e(f: SymFunc) -> SymFunc:
     """Rewrite a power-sum-basis function in the elementary basis."""
     if f.basis is not Basis.POWERSUM:
         raise ValueError("p_to_e expects a power-sum-basis input")
-    out: dict[Partition, int] = {}
-    for lam, c in f.terms.items():
-        for mu, d in _power_partition_image(lam).terms.items():
-            new = out.get(mu, 0) + c * d
-            if new:
-                out[mu] = new
-            else:
-                del out[mu]
-    return SymFunc(Basis.ELEMENTARY, out)
+    return SymFunc(Basis.ELEMENTARY, _p_to_e_terms(f._terms))
 
 
 # ------------------------------------------------------------ positivity

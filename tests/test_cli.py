@@ -1,15 +1,29 @@
 """Unit tests for the command-line surface: the spec grammar, output
 formats, determinism, and exit codes."""
 
+import itertools
 import json
+import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from chromsym.cli import SpecParseError, main, parse_composition, parse_graph_spec
 from chromsym.engine import csf_cycle_chord, theta_scan_cells
 from chromsym.graphs import Family, GraphSpec, build_graph, count_proper_colorings, render_graph_spec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python -m chromsym` in a child process that imports the
+    package from src, whether or not this process was given PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "chromsym", *argv],
+                          env={**os.environ, "PYTHONPATH": path}, text=True, **kwargs)
 
 
 # ---------------------------------------------------------------- grammar
@@ -352,21 +366,30 @@ def test_chrompoly_counts(capsys):
 def test_chrompoly_long_paths_never_trace_back():
     # deletion-contraction runs without recursion, and a graph past its
     # edge cap is a resource bound, not a crash
-    ok = subprocess.run(
-        [sys.executable, "-m", "chromsym", "chrompoly", "path:500", "--format", "json"],
-        capture_output=True,
-        text=True,
-    )
+    ok = run_module("chrompoly", "path:500", "--format", "json", capture_output=True)
     assert ok.returncode == 0, ok.stderr
     assert json.loads(ok.stdout)["counts"][2] == 2
-    capped = subprocess.run(
-        [sys.executable, "-m", "chromsym", "chrompoly", "path:1200"],
-        capture_output=True,
-        text=True,
-    )
+    capped = run_module("chrompoly", "path:1200", capture_output=True)
     assert "Traceback" not in capped.stderr
     assert capped.returncode == 1
     assert capped.stderr.startswith("error: ") and capped.stderr.count("\n") == 1
+
+
+def test_chrompoly_minor_budget_is_a_resource_bound():
+    # a dense irregular graph needs about 61 000 minors, past the
+    # per-call budget; a long cycle and K16 stay well inside it
+    rng = random.Random(1)
+    dense = ",".join(f"{u}-{v}" for u, v in itertools.combinations(range(14), 2)
+                     if rng.random() < 0.5)
+    capped = run_module("chrompoly", f"edges:14;{dense}", capture_output=True)
+    assert "Traceback" not in capped.stderr
+    assert capped.returncode == 1
+    assert capped.stderr.startswith("error: ") and capped.stderr.count("\n") == 1
+    k16 = ",".join(f"{u}-{v}" for u, v in itertools.combinations(range(16), 2))
+    for spec in ["cycle:500", f"edges:16;{k16}"]:
+        ok = run_module("chrompoly", spec, "--format", "json", capture_output=True)
+        assert ok.returncode == 0, ok.stderr
+        assert json.loads(ok.stdout)["counts"][-1] > 0
 
 
 # ------------------------------------------------------------ exit codes
@@ -388,13 +411,21 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "chromsym", "csf", "cc:3,3", "--format", "latex"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("csf", "cc:3,3", "--format", "latex", capture_output=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "54e_6+16e_{51}+26e_{42}+2e_{222}"
+
+
+def test_closed_stdout_is_not_a_traceback():
+    # the reader is gone before the child prints anything
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module("csf", "cc:9,9", stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
 
 
 def test_installed_script_runs():

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from chromsym.compositions import partitions
 from chromsym.symfunc import (
     _power_image,
     Basis,
@@ -213,6 +214,15 @@ def test_p_to_e_agrees_with_evaluation():
         f = random_symfunc(rng, P, max_degree=6, n_terms=3)
         xs = [rng.randrange(-3, 4) for _ in range(5)]
         assert eval_symfunc(f, xs) == eval_symfunc(p_to_e(f), xs)
+    # one call over every partition of 12 and a constant: many tails share
+    # each largest part, and tails come in every length; twelve variables
+    # keep every e_lam of degree 12 visible
+    terms = {lam: rng.randrange(-9, 10) or 1 for lam in partitions(12)}
+    f = SymFunc(P, {**terms, (): 7})
+    image = p_to_e(f)
+    for _ in range(3):
+        xs = [rng.randrange(-3, 4) for _ in range(12)]
+        assert eval_symfunc(f, xs) == eval_symfunc(image, xs)
 
 
 def test_p_to_e_multiplicative_on_parts():
