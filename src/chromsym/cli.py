@@ -318,16 +318,24 @@ def _add_format(sub, *, latex: bool) -> None:
                      help="output format (default: text)")
 
 
-def _positive_int(text: str) -> int:
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _ascii_int(text: str, low: int, kind: str) -> int:
+    if not (text.isascii() and text.isdigit()) or int(text) < low:
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return int(text)
 
 
+def _positive_int(text: str) -> int:
+    return _ascii_int(text, 1, "positive")
+
+
+def _nonnegative_int(text: str) -> int:
+    return _ascii_int(text, 0, "nonnegative")
+
+
 def _add_max_edges(sub) -> None:
-    sub.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES,
-                     help="edge cap for the 2**m oracle "
-                          f"(default: {DEFAULT_MAX_EDGES})")
+    sub.add_argument("--max-edges", type=_nonnegative_int, default=DEFAULT_MAX_EDGES,
+                     help="edge cap for the oracle's transfer, which may hold "
+                          f"up to 2**m states (default: {DEFAULT_MAX_EDGES})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,10 +9,11 @@ count, with composition_weight carrying the part-size factors and a
 per-family coefficient on top.  csf_multipath builds a multipath
 graph's power-sum expansion path by path and converts it once; the
 theta scan runs every cell through it.  The oracle recomputes any
-graph's function from scratch by inclusion-exclusion over edge subsets,
-sharing no code path with the formulas; with the transfer it shares
-p_to_e and the signed arrangement counts behind it, which the tests
-check against Newton's recurrence.
+graph's function from scratch from Stanley's signed sum over edge
+subsets, carried across the edges by a frontier transfer instead of
+enumerated; it shares no code path with the formulas, and with the
+multipath transfer it shares only p_to_e and the signed arrangement
+counts behind it, which the tests check against Newton's recurrence.
 """
 
 from __future__ import annotations
@@ -39,9 +40,7 @@ from .graphs import (
     Graph,
     GraphSpec,
     ResourceLimitError,
-    _absorb,
     _multipath_lengths,
-    _root_sizes,
     build_graph,
     count_proper_colorings,
     theta_graph,  # unused here; the benchmark's tracer wraps engine.theta_graph by name
@@ -59,11 +58,6 @@ from .symfunc import (
 )
 
 DEFAULT_MAX_EDGES = 24
-
-# Edge subsets are enumerated in blocks: the bits above this many are
-# frozen per block and their union-find state is built once, then the
-# low bits vary in plain binary order within the block.
-_ORACLE_BLOCK_BITS = 12
 
 
 # --------------------------------------------------------------- formulas
@@ -188,38 +182,122 @@ def csf_multipath(lengths: Iterable[int]) -> SymFunc:
 
 # ----------------------------------------------------------------- oracle
 
-def csf_oracle(graph: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> SymFunc:
-    """Chromatic symmetric function by inclusion-exclusion over edge
-    subsets, returned in the elementary basis.
+def _edges_in_dfs_order(graph: Graph) -> list[tuple[int, int]]:
+    """Edges sorted by when a depth-first search reaches their later
+    endpoint, which keeps the transfer's frontier narrow.
 
-    Each subset contributes its sign times the power sum indexed by the
-    component sizes of the spanning subgraph.  Runtime is 2**m for m
-    edges, so the call refuses graphs above max_edges.
+    The search starts from each unvisited vertex in turn and visits
+    neighbours in ascending order; an edge is listed (earlier, later)
+    in that numbering.
+    """
+    adjacent: list[list[int]] = [[] for _ in range(graph.n)]
+    for u, v in graph.edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    rank = [-1] * graph.n
+    reached = 0
+    for root in range(graph.n):
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            if rank[v] >= 0:
+                continue
+            rank[v] = reached
+            reached += 1
+            stack.extend(sorted(adjacent[v], reverse=True))
+    pairs = (sorted(edge, key=rank.__getitem__) for edge in graph.edges)
+    return sorted(pairs, key=lambda e: (rank[e[1]], rank[e[0]]))
+
+
+def csf_oracle(graph: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> SymFunc:
+    """Chromatic symmetric function from Stanley's signed edge-subset
+    sum, sum over S of (-1)**|S| p_(component sizes of S), returned in
+    the elementary basis.
+
+    The sum is carried across the edges in depth-first order as a
+    frontier transfer, so no subset is enumerated.  A state holds the
+    block label of each live vertex (touched, and not past its last
+    edge), the size of each block, and the multiset of closed component
+    sizes packed into one int, a digit of n.bit_length() bits per part
+    size; it maps to a signed count.  Each edge is either skipped, or
+    kept with the sign flipped, merging its endpoints' blocks; kept
+    inside one block it cancels the skip, so such states drop out.  An
+    endpoint whose last edge this was retires, and a block left with no
+    live vertex closes into the multiset.  The state count at most
+    doubles per edge, so the work never exceeds 2**m, and the call
+    refuses graphs above max_edges edges.
     """
     m = graph.m
     if m > max_edges:
         raise ResourceLimitError(
             f"oracle capped at {max_edges} edges, graph has {m} "
-            f"(raise max_edges to force the 2**{m} enumeration)"
+            f"(raise max_edges to let the transfer hold up to 2**{m} states)"
         )
     n = graph.n
-    low_edges = graph.edges[:_ORACLE_BLOCK_BITS]
-    high_edges = graph.edges[_ORACLE_BLOCK_BITS:]
-    low_count = len(low_edges)
+    bits = n.bit_length()
+    edges = _edges_in_dfs_order(graph)
+    last: dict[int, int] = {}
+    for idx, (u, v) in enumerate(edges):
+        last[u] = last[v] = idx
+    # isolated vertices start in the digit for parts of size 1
+    states: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {
+        ((), (), n - len(last)): 1
+    }
+    frontier: list[int] = []
+    for idx, (u, v) in enumerate(edges):
+        fresh = [w for w in (u, v) if w not in frontier]
+        frontier += fresh
+        i, j = frontier.index(u), frontier.index(v)
+        retired = {p for p, w in enumerate(frontier) if last[w] == idx}
+        plans: dict[tuple[int, ...], tuple] = {}
+        step: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
+        for (labels, sizes, packed), count in states.items():
+            for _ in fresh:
+                labels += (len(sizes),)
+                sizes += (1,)
+            a, b = labels[i], labels[j]
+            if a == b:  # keeping the edge cancels skipping it
+                continue
+            merged = list(sizes)
+            merged[a] += merged[b]
+            kept = tuple(a if x == b else x for x in labels)
+            for branch, branch_sizes, signed in (labels, sizes, count), (kept, merged, -count):
+                plan = plans.get(branch)
+                if plan is None:
+                    plan = plans[branch] = _retire(branch, retired)
+                live, order, closed = plan
+                key = (
+                    live,
+                    tuple([branch_sizes[x] for x in order]),
+                    packed + sum(1 << ((branch_sizes[x] - 1) * bits) for x in closed),
+                )
+                step[key] = step.get(key, 0) + signed
+        states = {key: count for key, count in step.items() if count}
+        frontier = [w for p, w in enumerate(frontier) if p not in retired]
+    # every vertex has retired, so the packed multiset alone keys a state
+    digit = (1 << bits) - 1
     acc: dict[Partition, int] = {}
-    for high_mask in range(1 << len(high_edges)):
-        base_parent = list(range(n))
-        base_size = [1] * n
-        _absorb(base_parent, base_size, high_edges, high_mask)
-        high_sign = -1 if high_mask.bit_count() & 1 else 1
-        for low_mask in range(1 << low_count):
-            parent = base_parent.copy()
-            size = base_size.copy()
-            _absorb(parent, size, low_edges, low_mask)
-            shape = _root_sizes(parent, size)
-            sign = -high_sign if low_mask.bit_count() & 1 else high_sign
-            acc[shape] = acc.get(shape, 0) + sign
+    for (_, _, packed), count in states.items():
+        shape: list[int] = []
+        for part in range(1, n + 1):
+            shape[:0] = [part] * (packed >> ((part - 1) * bits) & digit)
+        acc[tuple(shape)] = count
     return p_to_e(SymFunc(Basis.POWERSUM, acc))
+
+
+def _retire(labels: tuple[int, ...], retired: set[int]):
+    """What retiring the frontier positions in retired does to any
+    state with these block labels: the live labels renumbered by first
+    appearance, the old label of each new block in order, and the old
+    labels of the blocks left with no live vertex, which close."""
+    renumber: dict[int, int] = {}
+    live = tuple(
+        renumber.setdefault(x, len(renumber))
+        for p, x in enumerate(labels)
+        if p not in retired
+    )
+    closed = set(labels).difference(renumber)
+    return live, tuple(renumber), closed
 
 
 # ----------------------------------------------------------- verification

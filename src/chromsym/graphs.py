@@ -64,38 +64,6 @@ class Graph:
         return _normalize_edge((u, v)) in set(self.edges)
 
 
-# ------------------------------------------------------------ union-find
-# Bare parent/size arrays with union by size, for the oracle's hot loop.
-
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _absorb(parent: list[int], size: list[int], edges, mask: int) -> None:
-    """Union the edges selected by mask into the parent/size arrays."""
-    idx = 0
-    while mask:
-        if mask & 1:
-            u, v = edges[idx]
-            ru = _find(parent, u)
-            rv = _find(parent, v)
-            if ru != rv:
-                if size[ru] < size[rv]:
-                    ru, rv = rv, ru
-                parent[rv] = ru
-                size[ru] += size[rv]
-        mask >>= 1
-        idx += 1
-
-
-def _root_sizes(parent: list[int], size: list[int]) -> Partition:
-    roots = (size[v] for v in range(len(parent)) if parent[v] == v)
-    return tuple(sorted(roots, reverse=True))
-
-
 # ---------------------------------------------------------- constructors
 
 def path_graph(n: int) -> Graph:
@@ -316,7 +284,9 @@ _CHROM_CACHE: dict[tuple[int, tuple[Edge, ...]], tuple[int, ...]] = {}
 _CHROM_MAX_EDGES = 500
 # Minors one call may add to the memo.  Family graphs and complete
 # graphs stay far below it (cycle:500 adds 1 494, K16 120), while a
-# random graph G(14, 1/2) can need 61 000 (3 s, 107 MB).
+# random graph G(14, 1/2) can need 61 000 (3 s, 107 MB).  A call that
+# finds more than this many in the memo clears it first, so the memo
+# never holds more than twice the cap.
 _CHROM_MAX_MINORS = 20_000
 
 
@@ -365,12 +335,15 @@ def chromatic_polynomial(graph: Graph) -> tuple[int, ...]:
     The memo grows with the edge count, so the call refuses graphs
     above _CHROM_MAX_EDGES edges, and stops once it has added
     _CHROM_MAX_MINORS minors (counted per call, as the memo is shared).
+    A memo found above that size is cleared first.
     """
     if graph.m > _CHROM_MAX_EDGES:
         raise ResourceLimitError(
             f"deletion-contraction capped at {_CHROM_MAX_EDGES} edges, "
             f"graph has {graph.m}"
         )
+    if len(_CHROM_CACHE) > _CHROM_MAX_MINORS:
+        _CHROM_CACHE.clear()
     top = _kernel_form(graph.n, graph.edges)
     stack = [(top[1], None)]
     added = 0

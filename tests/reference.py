@@ -2,7 +2,8 @@
 
 Each function here recomputes something by a different argument than
 the production code: the signed chord weight, the segment picture of
-the chord weight, Newton's recurrence for the power sums, and so on.
+the chord weight, Newton's recurrence for the power sums, Stanley's
+edge-subset sum one subset at a time, and so on.
 They exist only to cross-check the package, so they live beside the
 tests and not in it.  The file name does not start with test_, so
 pytest imports it without collecting it.
@@ -19,8 +20,8 @@ from chromsym.compositions import (
     surplus,
 )
 from chromsym.engine import _aggregate
-from chromsym.graphs import Edge, Graph, _absorb, _normalize_edge, _root_sizes
-from chromsym.symfunc import Basis, SymFunc, monomial
+from chromsym.graphs import Edge, Graph, _normalize_edge
+from chromsym.symfunc import Basis, SymFunc, monomial, p_to_e
 
 # ----------------------------------------------------------- compositions
 
@@ -104,6 +105,51 @@ def csf_cycle_chord_signed(a: int, b: int) -> SymFunc:
 
 
 # ----------------------------------------------------------------- graphs
+# Bare parent/size arrays with union by size.
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _absorb(parent: list[int], size: list[int], edges, mask: int) -> None:
+    """Union the edges selected by mask into the parent/size arrays."""
+    idx = 0
+    while mask:
+        if mask & 1:
+            u, v = edges[idx]
+            ru = _find(parent, u)
+            rv = _find(parent, v)
+            if ru != rv:
+                if size[ru] < size[rv]:
+                    ru, rv = rv, ru
+                parent[rv] = ru
+                size[ru] += size[rv]
+        mask >>= 1
+        idx += 1
+
+
+def _root_sizes(parent: list[int], size: list[int]) -> Partition:
+    roots = (size[v] for v in range(len(parent)) if parent[v] == v)
+    return tuple(sorted(roots, reverse=True))
+
+
+def csf_by_edge_subsets(graph: Graph) -> SymFunc:
+    """Chromatic symmetric function by Stanley's signed edge-subset
+    sum, one subset at a time: each of the 2**m subsets contributes its
+    sign times the power sum indexed by the component sizes of the
+    spanning subgraph it keeps."""
+    acc: dict[Partition, int] = {}
+    for mask in range(1 << graph.m):
+        parent = list(range(graph.n))
+        size = [1] * graph.n
+        _absorb(parent, size, graph.edges, mask)
+        shape = _root_sizes(parent, size)
+        acc[shape] = acc.get(shape, 0) + (-1) ** mask.bit_count()
+    return p_to_e(SymFunc(Basis.POWERSUM, acc))
 
 
 def component_partition(graph: Graph, subset: Sequence[Edge]) -> Partition:

@@ -250,6 +250,21 @@ def test_verify_resource_bound_exits_one(capsys):
     assert main(["verify", "path:26", "--max-edges", "4"]) == 1
 
 
+@pytest.mark.parametrize("command, spec", [("verify", "cc:3,3"), ("csf", "edges:3;0-1")])
+@pytest.mark.parametrize("value", ["-1", "\u0663", "3.0", ""])
+def test_max_edges_must_be_a_nonnegative_ascii_integer(command, spec, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, spec, "--max-edges", value])
+    assert exc.value.code == 2
+    assert "--max-edges" in capsys.readouterr().err
+
+
+def test_max_edges_zero_caps_every_edge(capsys):
+    assert main(["csf", "edges:3;", "--max-edges", "0"]) == 0
+    assert main(["csf", "edges:3;0-1", "--max-edges", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: oracle capped at 0 edges")
+
+
 # ----------------------------------------------------------- scan-theta
 
 def test_scan_theta_text_and_json(capsys):

@@ -3,8 +3,9 @@ the verification plumbing.
 
 The oracle and the closed formulas share no code, so their agreement
 on whole families is the load-bearing check; the oracle itself is
-anchored by algebraic invariants (disjoint unions multiply) and, in
-test_acceptance, by the independent coloring counter.
+anchored by the subset-by-subset sum in reference.py, by algebraic
+invariants (disjoint unions multiply) and, in test_acceptance, by the
+independent coloring counter.
 """
 
 import random
@@ -42,7 +43,7 @@ from chromsym.graphs import (
     theta_graph,
 )
 from chromsym.symfunc import Basis, SymFunc, monomial, p_to_e, render_latex
-from reference import csf_cycle_chord_signed, signed_chord_weight
+from reference import csf_by_edge_subsets, csf_cycle_chord_signed, signed_chord_weight
 
 
 def random_graph(rng, n, p=0.35):
@@ -197,9 +198,29 @@ def test_oracle_respects_edge_bound():
 
 
 def test_oracle_crosses_block_boundary():
-    # more than 12 edges exercises the blocked enumeration path
+    # skipping all 14 edges leaves fifteen parts of size 1, which fill
+    # the 4-bit digit of the packed multiset exactly; one bit fewer and
+    # the count would carry into the digit for parts of size 2
     g = path_graph(15)
     assert csf_oracle(g) == csf_path(15)
+
+
+@st.composite
+def small_graphs(draw):
+    """Simple graphs on at most 9 vertices with at most 14 edges;
+    isolated vertices and several components are allowed."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not pairs:
+        return Graph(n, ())
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14))
+    return Graph(n, tuple(edges))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_oracle_matches_edge_subset_sum(g):
+    assert csf_oracle(g) == csf_by_edge_subsets(g)
 
 
 # ---------------------------------------------------- multipath transfer

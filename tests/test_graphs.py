@@ -261,6 +261,28 @@ def test_chromatic_polynomial_shape():
     assert chromatic_polynomial(Graph(3, ())) == (0, 0, 0, 1)
 
 
+def test_chromatic_memo_stays_within_twice_its_cap(monkeypatch):
+    cap = 40
+    monkeypatch.setattr(graphs, "_CHROM_MAX_MINORS", cap)
+    monkeypatch.setattr(graphs, "_CHROM_CACHE", {})
+    rng = random.Random(4242)
+    cleared = capped = 0
+    for _ in range(10):
+        g = random_graph(rng, 7, p=0.5)
+        before = len(graphs._CHROM_CACHE)
+        try:
+            counts = [count_proper_colorings(g, k) for k in range(4)]
+        except ResourceLimitError:
+            capped += 1
+        else:
+            assert counts == [brute_color_count(g, k) for k in range(4)], g
+        after = len(graphs._CHROM_CACHE)
+        assert after <= 2 * cap
+        cleared += after < before
+    # the seed reaches both the clearing and the per-call cap
+    assert cleared and capped
+
+
 def test_count_is_monotone_polynomial_of_degree_n():
     rng = random.Random(2024)
     for _ in range(12):
