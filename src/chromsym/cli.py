@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="show the chord-weight computation for a composition")
     p.add_argument("composition", help="comma-separated parts, e.g. 4,2")
-    p.add_argument("--b", type=int, required=True, help="chord distance along the cycle")
+    p.add_argument("--b", type=_positive_int, required=True, help="chord distance along the cycle")
     _add_format(p, latex=False)
     p.set_defaults(handler=cmd_delta)
 
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("scan-theta", help="e-positivity scan over theta graphs")
-    p.add_argument("--max-n", type=int, required=True,
+    p.add_argument("--max-n", type=_nonnegative_int, required=True,
                    help="largest vertex count to scan")
     p.add_argument("--resume", metavar="FILE", default=None,
                    help="JSON-lines checkpoint to append to and resume from")

@@ -22,20 +22,30 @@ def compositions(n: int) -> Iterator[Composition]:
     number m (0 <= m < 2**(n-1)), read as an (n-1)-bit string from the
     most significant end, has a part boundary after position j exactly
     when bit j of that string is set.  So n comes first, then (n-1, 1),
-    and (1,)*n comes last.  The stream is deterministic, and a scan can
-    resume from any mask index.
+    and (1,)*n comes last.
+
+    The stream steps from mask m to m+1 in place on one list of parts:
+    the trailing run of k ones merges into the part x before it, so
+    (..., x, 1^k) becomes (..., x-1, k+1), and the all-ones composition
+    ends the stream.  A step pops k+1 parts and pushes two, which is
+    amortized O(1) Python work per composition, plus one tuple copy.
+    Nothing is materialised.
     """
     if n < 1:
         raise ValueError(f"compositions are indexed by n >= 1, got {n}")
-    for mask in range(1 << (n - 1)):
-        parts = []
-        prev = 0
-        for cut in range(1, n):
-            if mask >> (n - 1 - cut) & 1:
-                parts.append(cut - prev)
-                prev = cut
-        parts.append(n - prev)
+    parts = [n]
+    pop, append = parts.pop, parts.append
+    while True:
         yield tuple(parts)
+        k = 1
+        last = pop()
+        while last == 1:
+            if not parts:
+                return
+            last = pop()
+            k += 1
+        append(last - 1)
+        append(k)
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -1,15 +1,16 @@
 """Second routes to quantities the package computes one way.
 
 Each function here recomputes something by a different argument than
-the production code: the signed chord weight, the segment picture of
-the chord weight, Newton's recurrence for the power sums, Stanley's
-edge-subset sum one subset at a time, and so on.
+the production code: the compositions decoded from their cut
+bitmasks, the signed chord weight, the segment picture of the chord
+weight, Newton's recurrence for the power sums, Stanley's edge-subset
+sum one subset at a time, and so on.
 They exist only to cross-check the package, so they live beside the
 tests and not in it.  The file name does not start with test_, so
 pytest imports it without collecting it.
 """
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from chromsym.compositions import (
     Composition,
@@ -24,6 +25,27 @@ from chromsym.graphs import Edge, Graph, _normalize_edge
 from chromsym.symfunc import Basis, SymFunc, monomial, p_to_e
 
 # ----------------------------------------------------------- compositions
+
+
+def composition_by_mask(n: int, mask: int) -> Composition:
+    """Decode composition number mask of n: read as an (n-1)-bit string
+    from the most significant end, bit j set means a part boundary
+    after position j."""
+    parts = []
+    prev = 0
+    for cut in range(1, n):
+        if mask >> (n - 1 - cut) & 1:
+            parts.append(cut - prev)
+            prev = cut
+    parts.append(n - prev)
+    return tuple(parts)
+
+
+def compositions_by_mask(n: int) -> Iterator[Composition]:
+    """The compositions of n in the documented order, each decoded from
+    its own cut bitmask rather than stepped from the one before."""
+    for mask in range(1 << (n - 1)):
+        yield composition_by_mask(n, mask)
 
 
 def reverse(comp: Composition) -> Composition:

@@ -212,6 +212,14 @@ def test_delta_domain_errors(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["\uff12", "-1"])
+def test_delta_b_must_be_a_positive_ascii_integer(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["delta", "4,2", "--b", value])
+    assert exc.value.code == 2
+    assert "--b" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- verify
 
 def test_verify_pass_text(capsys):
@@ -345,6 +353,16 @@ def test_scan_theta_rejects_nonpositive_jobs(jobs, capsys):
         main(["scan-theta", "--max-n", "6", "--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "\uff15"])
+def test_scan_theta_max_n_must_be_a_nonnegative_ascii_integer(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan-theta", "--max-n", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-n" in captured.err
 
 
 def test_scan_theta_requires_max_n():

@@ -7,9 +7,16 @@ before the library existed.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import chromsym
 from chromsym.compositions import (
     SplitParams,
     chord_weight,
@@ -23,7 +30,14 @@ from chromsym.compositions import (
     split_params,
     surplus,
 )
-from reference import chord_weight_by_segments, deficiency, reverse, reverse_tail
+from reference import (
+    chord_weight_by_segments,
+    composition_by_mask,
+    compositions_by_mask,
+    deficiency,
+    reverse,
+    reverse_tail,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -107,6 +121,41 @@ def test_compositions_complete_and_distinct(n):
     for comp in got:
         assert sum(comp) == n
         assert all(p >= 1 for p in comp)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_compositions_match_the_mask_decoder(n):
+    assert list(compositions(n)) == list(compositions_by_mask(n))
+
+
+@st.composite
+def composition_index(draw):
+    n = draw(st.integers(1, 18))
+    return n, draw(st.integers(0, (1 << (n - 1)) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(composition_index())
+def test_kth_composition_is_the_mask_k_decode(nk):
+    n, k = nk
+    assert next(itertools.islice(compositions(n), k, None)) == composition_by_mask(n, k)
+
+
+def test_compositions_are_lazy():
+    # A rewrite that lists all 2**63 compositions of 64 before yielding
+    # would fill memory, so the child runs under a 1 GiB address-space cap.
+    code = (
+        "import itertools, resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from chromsym.compositions import compositions\n"
+        "head = list(itertools.islice(compositions(64), 1000))\n"
+        "print(len(head), head[:4])\n"
+    )
+    src = str(Path(chromsym.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1000 [(64,), (63, 1), (62, 2), (62, 1, 1)]\n"
 
 
 def test_compositions_rejects_nonpositive():
