@@ -12,8 +12,9 @@ theta scan runs every cell through it.  The oracle recomputes any
 graph's function from scratch from Stanley's signed sum over edge
 subsets, carried across the edges by a frontier transfer instead of
 enumerated; it shares no code path with the formulas, and with the
-multipath transfer it shares only p_to_e and the signed arrangement
-counts behind it, which the tests check against Newton's recurrence.
+multipath transfer it shares only p_to_e, its packed partition keys,
+and the signed arrangement counts behind it, which the tests check
+against Newton's recurrence.
 """
 
 from __future__ import annotations
@@ -51,7 +52,12 @@ from .symfunc import (
     EPositivityReport,
     SymFunc,
     _multiply_into,
+    _pack,
+    _packed,
     _signed_arrangements,
+    _unpack,
+    _unpacked,
+    _width,
     is_e_positive,
     p_to_e,
     principal_specialization,
@@ -59,12 +65,22 @@ from .symfunc import (
 
 DEFAULT_MAX_EDGES = 24
 
+# The formulas visit all 2**(n-1) compositions of n; at n = 26 that is
+# 2**25 of them, 20 to 30 s on a 2-CPU host.
+_FORMULA_MAX_VERTICES = 26
+
 
 # --------------------------------------------------------------- formulas
 
 def _aggregate(n: int, coeff: Callable[[Composition], int]) -> SymFunc:
     """Sum coeff(comp) * composition_weight(comp) * e_shape over all
-    compositions of n, collected by underlying partition."""
+    compositions of n, collected by underlying partition.  Refuses n
+    above _FORMULA_MAX_VERTICES."""
+    if n > _FORMULA_MAX_VERTICES:
+        raise ResourceLimitError(
+            f"closed formulas capped at {_FORMULA_MAX_VERTICES} vertices, "
+            f"graph has {n} (2**{n - 1} compositions)"
+        )
     acc: dict[Partition, int] = {}
     for comp in compositions(n):
         w = composition_weight(comp)
@@ -128,12 +144,13 @@ def csf_cycle_chord(a: int, b: int) -> SymFunc:
 
 # --------------------------------------------------- multipath transfer
 
-PowerSumTerms = dict[Partition, int]
+PackedTerms = dict[int, int]
 
 
-def _accumulate(acc: PowerSumTerms, f: PowerSumTerms, scale: int = 1) -> None:
-    for lam, c in f.items():
-        acc[lam] = acc.get(lam, 0) + scale * c
+def _accumulate(acc: PackedTerms, f: PackedTerms, scale: int = 1) -> None:
+    get = acc.get
+    for key, c in f.items():
+        acc[key] = get(key, 0) + scale * c
 
 
 def csf_multipath(lengths: Iterable[int]) -> SymFunc:
@@ -150,20 +167,23 @@ def csf_multipath(lengths: Iterable[int]) -> SymFunc:
     hub 0, vertices on hub 1, hubs merged); once merged only the total
     matters, and every (x, y) split of one r shares a single product
     with the middle's expansion.  The hub components close the sum:
-    p_(2 + X + Y) merged, p_(1 + X) p_(1 + Y) apart.
+    p_(2 + X + Y) merged, p_(1 + X) p_(1 + Y) apart.  Every power-sum
+    polynomial is held on packed keys at the width of the vertex count,
+    and the closed sum is unpacked once and handed to p_to_e.
     """
     lam = _multipath_lengths(lengths)
-    free = [_signed_arrangements(r) for r in range(lam[0])]
-    states: dict[tuple[int, int, bool], PowerSumTerms] = {(0, 0, False): {(): 1}}
+    w = _width(sum(lam) - len(lam) + 2)
+    free = [_packed(_signed_arrangements(r), w) for r in range(lam[0])]
+    states: dict[tuple[int, int, bool], PackedTerms] = {(0, 0, False): {0: 1}}
     # shortest paths first, so fewer states meet the long paths' loops
     for length in reversed(lam):
-        step: dict[tuple[int, int, bool], PowerSumTerms] = {}
+        step: dict[tuple[int, int, bool], PackedTerms] = {}
         for (x0, y0, merged), poly in states.items():
             kept = (x0 + y0 + length - 1, 0, True)
             _accumulate(step.setdefault(kept, {}), poly, (-1) ** length)
             for r in range(length):
                 attached = length - 1 - r
-                middle: PowerSumTerms = {}
+                middle: PackedTerms = {}
                 _multiply_into(middle, poly, free[r], (-1) ** attached)
                 if merged:
                     key = (x0 + attached, 0, True)
@@ -173,11 +193,11 @@ def csf_multipath(lengths: Iterable[int]) -> SymFunc:
                     key = (x0 + x, y0 + attached - x, False)
                     _accumulate(step.setdefault(key, {}), middle)
         states = step
-    total: PowerSumTerms = {}
+    total: PackedTerms = {}
     for (x, y, merged), poly in states.items():
         hubs = (2 + x,) if merged else (1 + x, 1 + y)
-        _multiply_into(total, poly, {tuple(sorted(hubs, reverse=True)): 1})
-    return p_to_e(SymFunc(Basis.POWERSUM, total))
+        _multiply_into(total, poly, {_pack(hubs, w): 1})
+    return p_to_e(SymFunc._trusted(Basis.POWERSUM, _unpacked(total, w)))
 
 
 # ----------------------------------------------------------------- oracle
@@ -218,14 +238,15 @@ def csf_oracle(graph: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> SymFunc:
     frontier transfer, so no subset is enumerated.  A state holds the
     block label of each live vertex (touched, and not past its last
     edge), the size of each block, and the multiset of closed component
-    sizes packed into one int, a digit of n.bit_length() bits per part
-    size; it maps to a signed count.  Each edge is either skipped, or
-    kept with the sign flipped, merging its endpoints' blocks; kept
-    inside one block it cancels the skip, so such states drop out.  An
-    endpoint whose last edge this was retires, and a block left with no
-    live vertex closes into the multiset.  The state count at most
-    doubles per edge, so the work never exceeds 2**m, and the call
-    refuses graphs above max_edges edges.
+    sizes packed into one int, its key in symfunc's partition codec at
+    width n.bit_length(); it maps to a signed count.  Each edge is
+    either skipped, or kept with the sign flipped, merging its
+    endpoints' blocks; kept inside one block it cancels the skip, so
+    such states drop out.  An endpoint whose last edge this was
+    retires, and a block left with no live vertex closes into the
+    multiset.  The state count at most doubles per edge, so the work
+    never exceeds 2**m, and the call refuses graphs above max_edges
+    edges.
     """
     m = graph.m
     if m > max_edges:
@@ -234,7 +255,7 @@ def csf_oracle(graph: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> SymFunc:
             f"(raise max_edges to let the transfer hold up to 2**{m} states)"
         )
     n = graph.n
-    bits = n.bit_length()
+    bits = _width(n)
     edges = _edges_in_dfs_order(graph)
     last: dict[int, int] = {}
     for idx, (u, v) in enumerate(edges):
@@ -269,20 +290,14 @@ def csf_oracle(graph: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> SymFunc:
                 key = (
                     live,
                     tuple([branch_sizes[x] for x in order]),
-                    packed + sum(1 << ((branch_sizes[x] - 1) * bits) for x in closed),
+                    packed + _pack([branch_sizes[x] for x in closed], bits),
                 )
                 step[key] = step.get(key, 0) + signed
         states = {key: count for key, count in step.items() if count}
         frontier = [w for p, w in enumerate(frontier) if p not in retired]
     # every vertex has retired, so the packed multiset alone keys a state
-    digit = (1 << bits) - 1
-    acc: dict[Partition, int] = {}
-    for (_, _, packed), count in states.items():
-        shape: list[int] = []
-        for part in range(1, n + 1):
-            shape[:0] = [part] * (packed >> ((part - 1) * bits) & digit)
-        acc[tuple(shape)] = count
-    return p_to_e(SymFunc(Basis.POWERSUM, acc))
+    acc = {_unpack(packed, bits): count for (_, _, packed), count in states.items()}
+    return p_to_e(SymFunc._trusted(Basis.POWERSUM, acc))
 
 
 def _retire(labels: tuple[int, ...], retired: set[int]):

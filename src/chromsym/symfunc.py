@@ -3,6 +3,12 @@
 A SymFunc is a finite integer combination of basis elements indexed by
 partitions, in either the elementary basis or the power-sum basis.
 Coefficients are Python ints, so nothing ever overflows or rounds.
+
+Products and conversion run on packed keys: a partition of degree at
+most n becomes the int sum of m_i << ((i - 1) * w), where m_i is the
+multiplicity of part i and w = n.bit_length(), so the product of two
+basis elements is one integer addition.  A digit never carries, since
+a multiplicity is at most the degree, which is below 2**w.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ def _validated_terms(terms) -> dict[Partition, int]:
     clean: dict[Partition, int] = {}
     for lam, c in terms.items():
         lam = tuple(lam)
+        if any(type(p) is not int for p in lam):
+            raise TypeError(f"partition parts must be int, got {lam!r}")
         if any(p < 1 for p in lam):
             raise ValueError(f"partition parts must be positive: {lam}")
         if any(a < b for a, b in zip(lam, lam[1:])):
@@ -62,6 +70,15 @@ class SymFunc:
     @classmethod
     def zero(cls, basis: Basis) -> "SymFunc":
         return cls(basis, {})
+
+    @classmethod
+    def _trusted(cls, basis: Basis, terms: dict[Partition, int]) -> "SymFunc":
+        """Internal constructor for terms already keyed by canonical
+        partitions with int coefficients; only zeros are dropped."""
+        f = object.__new__(cls)
+        f.basis = basis
+        f._terms = {lam: c for lam, c in terms.items() if c}
+        return f
 
     @property
     def terms(self) -> Mapping[Partition, int]:
@@ -99,7 +116,7 @@ class SymFunc:
         out = dict(self._terms)
         for lam, c in other._terms.items():
             out[lam] = out.get(lam, 0) + c
-        return SymFunc(self.basis, out)
+        return SymFunc._trusted(self.basis, out)
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
         if not isinstance(other, SymFunc):
@@ -114,7 +131,7 @@ class SymFunc:
             raise TypeError(f"scalar must be int, got {c!r}")
         if c == 0:
             return SymFunc.zero(self.basis)
-        return SymFunc(self.basis, {lam: c * v for lam, v in self._terms.items()})
+        return SymFunc._trusted(self.basis, {lam: c * v for lam, v in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -124,9 +141,10 @@ class SymFunc:
         self._check_basis(other)
         if self.basis is not Basis.ELEMENTARY:
             raise ValueError("products are implemented in the elementary basis only")
-        out: dict[Partition, int] = {}
-        _multiply_into(out, self._terms, other._terms)
-        return SymFunc(self.basis, out)
+        w = _width(_degree(self._terms) + _degree(other._terms))
+        out: dict[int, int] = {}
+        _multiply_into(out, _packed(self._terms, w), _packed(other._terms, w))
+        return SymFunc._trusted(self.basis, _unpacked(out, w))
 
     def __rmul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -142,19 +160,65 @@ def monomial(basis: Basis, lam: Iterable[int], coeff: int = 1) -> SymFunc:
     return SymFunc(basis, {tuple(lam): coeff})
 
 
+# ---------------------------------------------------------- packed keys
+
+def _width(degree: int) -> int:
+    """Bits per digit of a packed key for partitions of at most this
+    degree: enough for a multiplicity equal to the degree."""
+    return degree.bit_length()
+
+
+def _pack(lam: Partition, w: int) -> int:
+    """Key of a partition: sum of m_i << ((i - 1) * w) over its parts."""
+    key = 0
+    for p in lam:
+        key += 1 << (p - 1) * w
+    return key
+
+
+def _unpack(key: int, w: int) -> Partition:
+    """Partition of a packed key, parts weakly decreasing."""
+    digit = (1 << w) - 1
+    parts: list[int] = []
+    part = 0
+    while key:
+        part += 1
+        parts += [part] * (key & digit)
+        key >>= w
+    parts.reverse()
+    return tuple(parts)
+
+
+def _degree(terms: Mapping[Partition, int]) -> int:
+    """Largest degree of a term, 0 when there is none."""
+    return max(map(sum, terms), default=0)
+
+
+def _packed(terms: Mapping[Partition, int], w: int) -> dict[int, int]:
+    return {_pack(lam, w): c for lam, c in terms.items()}
+
+
+def _unpacked(terms: Mapping[int, int], w: int) -> dict[Partition, int]:
+    return {_unpack(key, w): c for key, c in terms.items()}
+
+
 def _multiply_into(
-    out: dict[Partition, int],
-    f: Mapping[Partition, int],
-    g: Mapping[Partition, int],
+    out: dict[int, int],
+    f: Mapping[int, int],
+    g: Mapping[int, int],
     scale: int = 1,
 ) -> None:
-    """out += scale * f * g, for terms in a multiplicative basis (e or
-    p), where the product of two basis elements joins their parts.
-    Cancelled terms stay in out as zeros until a SymFunc drops them."""
+    """out += scale * f * g, for packed terms in a multiplicative basis
+    (e or p), where the product of two basis elements joins their parts,
+    which adds their keys.  All three share one width, wide enough for
+    the degree of the product.  Cancelled terms stay in out as zeros
+    until a SymFunc drops them."""
+    get = out.get
     for lam, a in f.items():
+        a *= scale
         for mu, b in g.items():
-            key = tuple(sorted(lam + mu, reverse=True))
-            out[key] = out.get(key, 0) + scale * a * b
+            key = lam + mu
+            out[key] = get(key, 0) + a * b
 
 
 # ------------------------------------------------------- basis conversion
@@ -197,32 +261,43 @@ def _power_image(m: int) -> SymFunc:
     cached = _POWER_IMAGE.get(m)
     if cached is None:
         terms = {mu: m * c // len(mu) for mu, c in _signed_arrangements(m).items()}
-        cached = _POWER_IMAGE[m] = SymFunc(Basis.ELEMENTARY, terms)
+        cached = _POWER_IMAGE[m] = SymFunc._trusted(Basis.ELEMENTARY, terms)
     return cached
 
 
-def _p_to_e_terms(terms: Mapping[Partition, int]) -> dict[Partition, int]:
-    """Elementary terms of a power-sum combination, by Horner grouping
-    on the largest part: f = c_() + sum over k of p_k * f_k, where f_k
-    collects the tails lam[1:] of the partitions with lam[0] = k and is
-    converted the same way."""
-    out: dict[Partition, int] = {}
-    tails: dict[int, dict[Partition, int]] = {}
-    for lam, c in terms.items():
-        if lam:
-            tails.setdefault(lam[0], {})[lam[1:]] = c
+def _p_to_e_terms(
+    terms: Mapping[int, int], w: int, images: dict[int, dict[int, int]]
+) -> dict[int, int]:
+    """Packed elementary terms of packed power-sum terms, by Horner
+    grouping on the top digit: f = c_() + sum over k of p_k * f_k, where
+    k is a key's largest part, f_k collects the keys less one part k and
+    is converted the same way.  images holds the packed p_k images met
+    so far."""
+    out: dict[int, int] = {}
+    tails: dict[int, dict[int, int]] = {}
+    for key, c in terms.items():
+        if key:
+            k = (key.bit_length() - 1) // w + 1
+            tails.setdefault(k, {})[key - (1 << (k - 1) * w)] = c
         else:
-            out[()] = c
+            out[0] = c
     for k, tail in tails.items():
-        _multiply_into(out, _power_image(k)._terms, _p_to_e_terms(tail))
+        image = images.get(k)
+        if image is None:
+            image = images[k] = _packed(_power_image(k)._terms, w)
+        _multiply_into(out, image, _p_to_e_terms(tail, w, images))
     return out
 
 
 def p_to_e(f: SymFunc) -> SymFunc:
-    """Rewrite a power-sum-basis function in the elementary basis."""
+    """Rewrite a power-sum-basis function in the elementary basis: pack
+    its terms, convert by Horner grouping on the largest part, and
+    unpack once."""
     if f.basis is not Basis.POWERSUM:
         raise ValueError("p_to_e expects a power-sum-basis input")
-    return SymFunc(Basis.ELEMENTARY, _p_to_e_terms(f._terms))
+    w = _width(_degree(f._terms))
+    out = _p_to_e_terms(_packed(f._terms, w), w, {})
+    return SymFunc._trusted(Basis.ELEMENTARY, _unpacked(out, w))
 
 
 # ------------------------------------------------------------ positivity

@@ -4,13 +4,14 @@ Each function here recomputes something by a different argument than
 the production code: the compositions decoded from their cut
 bitmasks, the signed chord weight, the segment picture of the chord
 weight, Newton's recurrence for the power sums, Stanley's edge-subset
-sum one subset at a time, and so on.
+sum one subset at a time, products by sorting joined partitions, and
+so on.
 They exist only to cross-check the package, so they live beside the
 tests and not in it.  The file name does not start with test_, so
 pytest imports it without collecting it.
 """
 
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from chromsym.compositions import (
     Composition,
@@ -188,6 +189,20 @@ def component_partition(graph: Graph, subset: Sequence[Edge]) -> Partition:
 
 
 # ------------------------------------------------------- symmetric functions
+
+
+def multiply_by_sorting(
+    out: dict[Partition, int],
+    f: Mapping[Partition, int],
+    g: Mapping[Partition, int],
+    scale: int = 1,
+) -> None:
+    """out += scale * f * g on partition keys, in a multiplicative basis:
+    the product of two basis elements sorts their joined parts."""
+    for lam, a in f.items():
+        for mu, b in g.items():
+            key = tuple(sorted(lam + mu, reverse=True))
+            out[key] = out.get(key, 0) + scale * a * b
 
 
 def from_json_dict(data: dict) -> SymFunc:

@@ -258,6 +258,21 @@ def test_verify_resource_bound_exits_one(capsys):
     assert main(["verify", "path:26", "--max-edges", "4"]) == 1
 
 
+@pytest.mark.parametrize("spec, n", [("path:64", 64), ("cc:30,30", 60)])
+def test_closed_formula_size_bound_exits_one(spec, n):
+    # 2**(n-1) compositions would never finish; the refusal comes first
+    capped = run_module("csf", spec, capture_output=True, timeout=20)
+    assert capped.returncode == 1
+    assert capped.stdout == ""
+    assert capped.stderr.startswith("error: closed formulas capped")
+    assert capped.stderr.count("\n") == 1 and f"graph has {n}" in capped.stderr
+
+
+def test_closed_formula_below_the_bound_still_runs(capsys):
+    assert main(["csf", "path:20"]) == 0
+    assert capsys.readouterr().out.startswith("20e_{20} + 18e_{19,1} + ")
+
+
 @pytest.mark.parametrize("command, spec", [("verify", "cc:3,3"), ("csf", "edges:3;0-1")])
 @pytest.mark.parametrize("value", ["-1", "\u0663", "3.0", ""])
 def test_max_edges_must_be_a_nonnegative_ascii_integer(command, spec, value, capsys):

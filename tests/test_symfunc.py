@@ -11,10 +11,19 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chromsym.compositions import partitions
 from chromsym.symfunc import (
+    _degree,
+    _multiply_into,
+    _pack,
+    _packed,
     _power_image,
+    _unpack,
+    _unpacked,
+    _width,
     Basis,
     EPositivityReport,
     SymFunc,
@@ -27,7 +36,7 @@ from chromsym.symfunc import (
     term_sort_key,
     to_json_dict,
 )
-from reference import from_json_dict, power_image_by_newton
+from reference import from_json_dict, multiply_by_sorting, power_image_by_newton
 
 E = Basis.ELEMENTARY
 P = Basis.POWERSUM
@@ -77,6 +86,15 @@ def random_symfunc(rng, basis, max_degree=5, n_terms=4):
     return SymFunc(basis, terms)
 
 
+# partitions with parts up to 5 and sparse integer combinations of
+# them; all-ones shapes put the largest multiplicity a width allows
+# for their degree in one digit
+partition_keys = st.lists(st.integers(1, 5), max_size=6).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
+)
+term_dicts = st.dictionaries(partition_keys, st.integers(-20, 20), max_size=5)
+
+
 # ------------------------------------------------------------ construction
 
 def test_monomial_and_zero():
@@ -103,6 +121,12 @@ def test_rejects_noncanonical_keys():
         SymFunc(E, {(2,): 1.5})
     with pytest.raises(TypeError):
         SymFunc("e", {(2,): 1})
+
+
+@pytest.mark.parametrize("basis, lam", [(E, (2.0,)), (E, (True,)), (P, (2.0, 1)), (P, ("2",))])
+def test_rejects_non_int_parts(basis, lam):
+    with pytest.raises(TypeError, match="parts must be int"):
+        SymFunc(basis, {lam: 1})
 
 
 def test_equality_ignores_zero_coefficients():
@@ -147,15 +171,40 @@ def test_product_merges_partitions():
     assert (monomial(E, ()) * e31) == e31
 
 
-def test_product_properties_random():
-    rng = random.Random(20260816)
-    for _ in range(25):
-        f = random_symfunc(rng, E)
-        g = random_symfunc(rng, E)
-        h = random_symfunc(rng, E)
-        assert f * g == g * f
-        assert (f * g) * h == f * (g * h)
-        assert f * (g + h) == f * g + f * h
+@settings(max_examples=150, deadline=None)
+@given(term_dicts, term_dicts, term_dicts)
+def test_product_properties_random(f, g, h):
+    f, g, h = SymFunc(E, f), SymFunc(E, g), SymFunc(E, h)
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f * monomial(E, ()) == f
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_pack_round_trips_every_partition(n):
+    w = _width(n)
+    for lam in partitions(n):
+        assert _unpack(_pack(lam, w), w) == lam
+
+
+def test_pack_multiplicity_fills_its_digit():
+    assert _width(15) == 4
+    assert _pack((1,) * 15, 4) == 0b1111
+    assert _unpack(0b1111, 4) == (1,) * 15
+
+
+@settings(max_examples=150, deadline=None)
+@example({(1, 1): 1}, {(1, 1): 1}, 1)
+@given(term_dicts, term_dicts, st.integers(-3, 3))
+def test_packed_product_matches_sorting_joined_parts(f, g, scale):
+    w = _width(_degree(f) + _degree(g))
+    packed: dict[int, int] = {}
+    _multiply_into(packed, _packed(f, w), _packed(g, w), scale)
+    joined: dict[tuple[int, ...], int] = {}
+    multiply_by_sorting(joined, f, g, scale)
+    nonzero = {lam: c for lam, c in joined.items() if c}
+    assert {lam: c for lam, c in _unpacked(packed, w).items() if c} == nonzero
 
 
 def test_product_agrees_with_evaluation():
