@@ -23,7 +23,6 @@ from .compositions import (
     surplus,
 )
 from .engine import (
-    DEFAULT_MAX_EDGES,
     ThetaScanRow,
     VerificationReport,
     check_triple_deletion,

@@ -21,7 +21,6 @@ from typing import Sequence
 
 from .compositions import Composition, chord_weight, segment_dissection, split_params
 from .engine import (
-    DEFAULT_MAX_EDGES,
     VerificationReport,
     closed_formula,
     csf_multipath,
@@ -133,7 +132,7 @@ def cmd_csf(args) -> int:
         x = csf_multipath(spec.params)
         source = "transfer"
     elif x is None:
-        x = csf_oracle(graph, args.max_edges)
+        x = csf_oracle(graph)
         source = "oracle"
     if args.format == "json":
         print(json.dumps({
@@ -231,7 +230,7 @@ def _verify_json(report: VerificationReport) -> dict:
 
 def cmd_verify(args) -> int:
     spec = parse_graph_spec(args.graph)
-    report = verify(spec, args.max_edges)
+    report = verify(spec)
     if args.format == "json":
         print(json.dumps(_verify_json(report)))
     else:
@@ -332,12 +331,6 @@ def _nonnegative_int(text: str) -> int:
     return _ascii_int(text, 0, "nonnegative")
 
 
-def _add_max_edges(sub) -> None:
-    sub.add_argument("--max-edges", type=_nonnegative_int, default=DEFAULT_MAX_EDGES,
-                     help="edge cap for the oracle's transfer, which may hold "
-                          f"up to 2**m states (default: {DEFAULT_MAX_EDGES})")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chromsym",
@@ -348,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("csf", help="print a graph's chromatic symmetric function")
     p.add_argument("graph", help="graph spec, e.g. cc:3,3")
     _add_format(p, latex=True)
-    _add_max_edges(p)
     p.set_defaults(handler=cmd_csf)
 
     p = sub.add_parser("delta", help="show the chord-weight computation for a composition")
@@ -360,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check formula, oracle, and coloring counts")
     p.add_argument("graph", help="graph spec, e.g. tadpole:5,2")
     _add_format(p, latex=False)
-    _add_max_edges(p)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("scan-theta", help="e-positivity scan over theta graphs")

@@ -11,7 +11,8 @@ graph's power-sum expansion path by path and converts it once; the
 theta scan runs every cell through it.  The oracle recomputes any
 graph's function from scratch from Stanley's signed sum over edge
 subsets, carried across the edges by a frontier transfer instead of
-enumerated; it shares no code path with the formulas, and with the
+enumerated, and bounded by the transfer's live states rather than by
+the edge count; it shares no code path with the formulas, and with the
 multipath transfer it shares only p_to_e, its packed partition keys,
 and the signed arrangement counts behind it, which the tests check
 against Newton's recurrence.
@@ -63,7 +64,11 @@ from .symfunc import (
     principal_specialization,
 )
 
-DEFAULT_MAX_EDGES = 24
+# Live states the oracle's transfer may hold after an edge step, at
+# about 20 us per state per step.  The largest run measured under it, a
+# 45-edge G(15, 1/2) peaking at 499 186 states, took 18 to 46 s and
+# 262 MB on a 2-CPU host.
+_ORACLE_MAX_STATES = 500_000
 
 # The formulas visit all 2**(n-1) compositions of n; at n = 26 that is
 # 2**25 of them, 20 to 30 s on a 2-CPU host.
@@ -229,7 +234,7 @@ def _edges_in_dfs_order(graph: Graph) -> list[tuple[int, int]]:
     return sorted(pairs, key=lambda e: (rank[e[1]], rank[e[0]]))
 
 
-def csf_oracle(graph: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> SymFunc:
+def csf_oracle(graph: Graph) -> SymFunc:
     """Chromatic symmetric function from Stanley's signed edge-subset
     sum, sum over S of (-1)**|S| p_(component sizes of S), returned in
     the elementary basis.
@@ -244,16 +249,10 @@ def csf_oracle(graph: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> SymFunc:
     endpoints' blocks; kept inside one block it cancels the skip, so
     such states drop out.  An endpoint whose last edge this was
     retires, and a block left with no live vertex closes into the
-    multiset.  The state count at most doubles per edge, so the work
-    never exceeds 2**m, and the call refuses graphs above max_edges
-    edges.
+    multiset.  The work follows the live states, so the call refuses a
+    graph once an edge step leaves more than _ORACLE_MAX_STATES of
+    them, before the next step allocates.
     """
-    m = graph.m
-    if m > max_edges:
-        raise ResourceLimitError(
-            f"oracle capped at {max_edges} edges, graph has {m} "
-            f"(raise max_edges to let the transfer hold up to 2**{m} states)"
-        )
     n = graph.n
     bits = _width(n)
     edges = _edges_in_dfs_order(graph)
@@ -294,6 +293,11 @@ def csf_oracle(graph: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> SymFunc:
                 )
                 step[key] = step.get(key, 0) + signed
         states = {key: count for key, count in step.items() if count}
+        if len(states) > _ORACLE_MAX_STATES:
+            raise ResourceLimitError(
+                f"oracle transfer capped at {_ORACLE_MAX_STATES} live states, "
+                f"edge {idx + 1} of {len(edges)} left {len(states)}"
+            )
         frontier = [w for p, w in enumerate(frontier) if p not in retired]
     # every vertex has retired, so the packed multiset alone keys a state
     acc = {_unpack(packed, bits): count for (_, _, packed), count in states.items()}
@@ -358,24 +362,25 @@ class VerificationReport:
         return True
 
 
-def verify(spec: GraphSpec, max_edges: int = DEFAULT_MAX_EDGES) -> VerificationReport:
+def verify(spec: GraphSpec) -> VerificationReport:
     """Compute a graph's function by every route available and compare.
 
-    Always runs the edge-subset oracle; adds the closed formula when
-    the family has one, and checks the principal specialization against
-    the independent coloring count at k = 0..n.
+    Evaluates the closed formula first when the family has one, so a
+    size the formulas refuse stops the run before the oracle starts;
+    then always runs the edge-subset oracle, and checks the principal
+    specialization against the independent coloring count at k = 0..n.
     """
     graph = build_graph(spec)
     timings: dict[str, float] = {}
 
     start = time.perf_counter()
-    oracle = csf_oracle(graph, max_edges)
-    timings["oracle"] = time.perf_counter() - start
+    formula = closed_formula(spec)
+    timings["formula"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    formula = closed_formula(spec)
+    oracle = csf_oracle(graph)
     equal = None if formula is None else formula == oracle
-    timings["formula"] = time.perf_counter() - start
+    timings["oracle"] = time.perf_counter() - start
 
     start = time.perf_counter()
     colorings_match = all(

@@ -199,7 +199,7 @@ def _packed(terms: Mapping[Partition, int], w: int) -> dict[int, int]:
 
 
 def _unpacked(terms: Mapping[int, int], w: int) -> dict[Partition, int]:
-    return {_unpack(key, w): c for key, c in terms.items()}
+    return {_unpack(key, w): c for key, c in terms.items() if c}
 
 
 def _multiply_into(
@@ -212,7 +212,7 @@ def _multiply_into(
     (e or p), where the product of two basis elements joins their parts,
     which adds their keys.  All three share one width, wide enough for
     the degree of the product.  Cancelled terms stay in out as zeros
-    until a SymFunc drops them."""
+    until _unpacked drops them."""
     get = out.get
     for lam, a in f.items():
         a *= scale

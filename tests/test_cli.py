@@ -1,17 +1,20 @@
 """Unit tests for the command-line surface: the spec grammar, output
 formats, determinism, and exit codes."""
 
+import argparse
 import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from chromsym.cli import SpecParseError, main, parse_composition, parse_graph_spec
+import chromsym.engine as engine
+from chromsym.cli import SpecParseError, build_parser, main, parse_composition, parse_graph_spec
 from chromsym.engine import csf_cycle_chord, theta_scan_cells
 from chromsym.graphs import Family, GraphSpec, build_graph, count_proper_colorings, render_graph_spec
 
@@ -135,17 +138,19 @@ def test_csf_oracle_fallback(capsys):
     assert data["csf"]["terms"][0] == [[5], 35]
 
 
-def test_csf_multipath_takes_the_transfer_past_the_edge_cap(capsys):
-    # the transfer enumerates no edge subsets, so --max-edges cannot stop it
-    assert main(["csf", "theta:3,3,2", "--max-edges", "4", "--format", "json"]) == 0
+def test_csf_multipath_takes_the_transfer_past_the_state_budget(monkeypatch, capsys):
+    # the transfer holds none of the oracle's states, so its budget cannot stop it
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 0)
+    assert main(["csf", "theta:3,3,2", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["source"] == "transfer"
     assert data["csf"]["terms"] == [
         [[7], 98], [[6, 1], 40], [[5, 2], 42], [[4, 3], 22],
         [[4, 2, 1], 6], [[3, 3, 1], 8], [[3, 2, 2], 6],
     ]
-    assert main(["csf", "edges:4;0-1,1-2,2-3,0-2", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["source"] == "oracle"
+    # while an edges spec takes the oracle, which the budget stops
+    assert main(["csf", "edges:4;0-1,1-2,2-3,0-2", "--format", "json"]) == 1
+    assert "oracle transfer capped at 0 live states" in capsys.readouterr().err
 
 
 def test_csf_edges_family(capsys):
@@ -251,11 +256,39 @@ def test_verify_oracle_only_family(capsys):
     assert data["passed"] is True
 
 
-def test_verify_resource_bound_exits_one(capsys):
-    edges = ",".join(f"{i}-{i + 1}" for i in range(25))
-    assert main(["verify", f"edges:26;{edges}"]) == 1
-    assert "oracle capped" in capsys.readouterr().err
-    assert main(["verify", "path:26", "--max-edges", "4"]) == 1
+def test_verify_resource_bound_exits_one(monkeypatch, capsys):
+    # the path on 7 vertices peaks at 19 live states, after its fifth edge
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 18)
+    for spec in ("edges:7;0-1,1-2,2-3,3-4,4-5,5-6", "path:7"):
+        assert main(["verify", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: oracle transfer capped at 18 live states, edge 5 of 6 left 19\n"
+        )
+
+
+def test_verify_refuses_formula_sizes_before_the_oracle(monkeypatch, capsys):
+    def oracle(graph):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(engine, "csf_oracle", oracle)
+    assert main(["verify", "cycle:30"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: closed formulas capped at 26 vertices, graph has 30 (2**29 compositions)\n"
+    )
+
+
+@pytest.mark.parametrize("spec", [
+    "theta:9,8,8",
+    "edges:8;" + ",".join(f"{u}-{v}" for u, v in itertools.combinations(range(8), 2)),
+])
+def test_verify_runs_past_the_old_edge_cap(spec, capsys):
+    # 25 and 28 edges, past what a 2**m subset loop could take
+    assert main(["verify", spec]) == 0
+    assert capsys.readouterr().out.endswith("verdict: PASS\n")
 
 
 @pytest.mark.parametrize("spec, n", [("path:64", 64), ("cc:30,30", 60)])
@@ -274,18 +307,28 @@ def test_closed_formula_below_the_bound_still_runs(capsys):
 
 
 @pytest.mark.parametrize("command, spec", [("verify", "cc:3,3"), ("csf", "edges:3;0-1")])
-@pytest.mark.parametrize("value", ["-1", "\u0663", "3.0", ""])
+@pytest.mark.parametrize("value", ["-1", "\u0663", "3.0", "", "24"])
 def test_max_edges_must_be_a_nonnegative_ascii_integer(command, spec, value, capsys):
+    # no value of it parses, malformed or not: the bound is on live states
     with pytest.raises(SystemExit) as exc:
         main([command, spec, "--max-edges", value])
     assert exc.value.code == 2
-    assert "--max-edges" in capsys.readouterr().err
+    assert "unrecognized arguments: --max-edges" in capsys.readouterr().err
 
 
-def test_max_edges_zero_caps_every_edge(capsys):
-    assert main(["csf", "edges:3;", "--max-edges", "0"]) == 0
-    assert main(["csf", "edges:3;0-1", "--max-edges", "0"]) == 1
-    assert capsys.readouterr().err.startswith("error: oracle capped at 0 edges")
+def test_state_budget_is_inclusive(monkeypatch, capsys):
+    # one edge leaves two states: the edge skipped, and the edge kept
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 0)
+    assert main(["csf", "edges:3;"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 1)
+    assert main(["csf", "edges:3;0-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: oracle transfer capped at 1 live states, edge 1 of 1 left 2\n"
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 2)
+    assert main(["csf", "edges:3;0-1"]) == 0
+    assert capsys.readouterr().out == "2e_{21}\n"
 
 
 # ----------------------------------------------------------- scan-theta
@@ -484,3 +527,29 @@ def test_installed_script_runs():
     )
     assert proc.returncode == 0
     assert "verdict: PASS" in proc.stdout
+
+
+# ------------------------------------------------------------------ docs
+
+def test_readme_names_only_real_options():
+    """Every --option in the README's code is one the parser accepts:
+    the named subcommand's, or some subcommand's when none is named.
+    pip's flags in the install lines are not chromsym's."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    commands = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    accepted = {name: set(sub._option_string_actions) for name, sub in commands.items()}
+    anywhere = set().union(*accepted.values())
+    blocks = re.findall(r"^```\n(.*?)^```", readme, re.M | re.S)
+    snippets = re.findall(r"`([^`\n]+)`", readme) + "\n".join(blocks).splitlines()
+    unknown = []
+    for snippet in snippets:
+        if snippet.startswith("pip "):
+            continue
+        command = next((word for word in snippet.split() if word in accepted), None)
+        for option in re.findall(r"(?<![\w-])--[a-z][a-z-]*", snippet):
+            if option not in (accepted[command] if command else anywhere):
+                unknown.append((command, option))
+    assert unknown == []

@@ -189,12 +189,21 @@ def test_oracle_multiplies_over_disjoint_union():
         assert csf_oracle(merged) == csf_oracle(g) * csf_oracle(h)
 
 
-def test_oracle_respects_edge_bound():
+def test_oracle_respects_state_budget(monkeypatch):
+    # the path on 7 vertices peaks at 19 live states, after its fifth edge
     g = path_graph(7)
-    with pytest.raises(ResourceLimitError):
-        csf_oracle(g, max_edges=5)
-    # and the bound is inclusive
-    assert csf_oracle(g, max_edges=6) == csf_path(7)
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 18)
+    with pytest.raises(ResourceLimitError, match="18 live states, edge 5 of 6 left 19"):
+        csf_oracle(g)
+    # and the budget is inclusive
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 19)
+    assert csf_oracle(g) == csf_path(7)
+
+
+@pytest.mark.parametrize("cell", [(9, 8, 8), (11, 10, 5), (10, 9, 8)])
+def test_oracle_runs_past_the_old_edge_cap(cell):
+    # 25 to 27 edges, past what a 2**m subset loop could take
+    assert csf_oracle(theta_graph(*cell)) == csf_multipath(cell)
 
 
 def test_oracle_crosses_block_boundary():
