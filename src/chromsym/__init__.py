@@ -1,9 +1,10 @@
 """Exact chromatic symmetric functions in the elementary basis.
 
 Closed-form expansions for paths, cycles, tadpoles, and chorded
-cycles, a power-sum transfer for multipath (theta) graphs, an
-independent edge-subset oracle for arbitrary graphs, and
-e-positivity certification, all in exact integer arithmetic.
+cycles, an independent edge-subset oracle for arbitrary graphs carried
+over their degree-2 chains (which also answers for multipath and theta
+graphs), and e-positivity certification, all in exact integer
+arithmetic.
 """
 
 from .compositions import (
@@ -29,7 +30,6 @@ from .engine import (
     closed_formula,
     csf_cycle,
     csf_cycle_chord,
-    csf_multipath,
     csf_oracle,
     csf_path,
     csf_tadpole,

@@ -1,32 +1,33 @@
 """Chromatic symmetric functions: closed-form evaluators for the
-benchmark families, a power-sum transfer for multipath graphs, an
-edge-subset oracle, cross-verification, and an e-positivity scanner for
-theta graphs.
+benchmark families, an edge-subset oracle for any graph carried over
+its degree-2 chains, cross-verification, and an e-positivity scanner
+for theta graphs.
 
 The path, cycle, tadpole and chorded-cycle formulas expand in the
 elementary basis as weighted sums over compositions of the vertex
 count, with composition_weight carrying the part-size factors and a
-per-family coefficient on top.  csf_multipath builds a multipath
-graph's power-sum expansion path by path and converts it once; the
-theta scan runs every cell through it.  The oracle recomputes any
-graph's function from scratch from Stanley's signed sum over edge
-subsets, carried across the edges by a frontier transfer instead of
-enumerated, and bounded by the transfer's live states rather than by
-the edge count; it shares no code path with the formulas, and with the
-multipath transfer it shares only p_to_e, its packed partition keys,
-and the signed arrangement counts behind it, which the tests check
-against Newton's recurrence.
+per-family coefficient on top.  The oracle recomputes any graph's
+function from scratch from Stanley's signed sum over edge subsets,
+carried across the graph's chains between branch vertices by one
+frontier transfer instead of enumerated, and bounded by the live terms
+the transfer makes rather than by the edge count.  The theta scan and
+csf on path-length specs hand the same transfer their path lengths as
+chains, with no graph built.  The oracle shares no code path with the
+formulas; it shares only p_to_e, its packed partition keys, and the
+signed arrangement counts behind both, which the tests check against
+Newton's recurrence.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .compositions import (
     Composition,
@@ -52,11 +53,8 @@ from .symfunc import (
     Basis,
     EPositivityReport,
     SymFunc,
-    _multiply_into,
-    _pack,
     _packed,
     _signed_arrangements,
-    _unpack,
     _unpacked,
     _width,
     is_e_positive,
@@ -64,11 +62,19 @@ from .symfunc import (
     principal_specialization,
 )
 
-# Live states the oracle's transfer may hold after an edge step, at
-# about 20 us per state per step.  The largest run measured under it, a
-# 45-edge G(15, 1/2) peaking at 499 186 states, took 18 to 46 s and
-# 262 MB on a 2-CPU host.
+# Live terms one chain step of the oracle's transfer may make, counted
+# as they are made.  The largest run measured under it, a 45-edge
+# G(15, 1/2) peaking at 499 186 terms, took 11 s and 111 MB on a 2-CPU
+# host; a refused 52-edge G(15, 1/2) stopped after 17 s at 462 MB.
 _ORACLE_MAX_STATES = 500_000
+
+# Partitions in the free-middle tables one chain needs: every partition
+# of up to r vertices for r inner vertices, as many as the live states
+# of a walk along the chain one edge at a time.  The tables are built
+# once per process and shared with p_to_e.  500 000 allows chains of up
+# to 44 inner vertices (451 501 partitions, about 5 s to build on a
+# 2-CPU host); 45 would need 540 635.
+_CHAIN_MAX_TABLE = 500_000
 
 # The formulas visit all 2**(n-1) compositions of n; at n = 26 that is
 # 2**25 of them, 20 to 30 s on a 2-CPU host.
@@ -147,176 +153,266 @@ def csf_cycle_chord(a: int, b: int) -> SymFunc:
     return _aggregate(n, lambda comp: chord_weight(comp, b))
 
 
-# --------------------------------------------------- multipath transfer
+# --------------------------------------------------------- chain transfer
 
-PackedTerms = dict[int, int]
-
-
-def _accumulate(acc: PackedTerms, f: PackedTerms, scale: int = 1) -> None:
-    get = acc.get
-    for key, c in f.items():
-        acc[key] = get(key, 0) + scale * c
+# (end, end, interior vertex count) of one chain; a loop has equal ends
+Chain = tuple[int, int, int]
 
 
-def csf_multipath(lengths: Iterable[int]) -> SymFunc:
-    """Chromatic symmetric function of two hubs joined by internally
-    disjoint paths of the given edge lengths (theta graphs have three).
+def _graph_chains(graph: Graph) -> list[Chain]:
+    """The graph's chains, in the order the transfer takes them.
 
-    Transfers Stanley's signed edge-subset expansion, sum over S of
-    (-1)**|S| p_(component sizes), across the paths one at a time
-    instead of enumerating the 2**m subsets.  A path of l edges is
-    either fully kept, merging the hubs with sign (-1)**l, or it joins
-    x inner vertices to hub 0 and y to hub 1 with sign (-1)**(x + y)
-    and leaves a free middle path on r = l - 1 - x - y vertices, whose
-    expansion is _signed_arrangements(r).  The state is (vertices on
-    hub 0, vertices on hub 1, hubs merged); once merged only the total
-    matters, and every (x, y) split of one r shares a single product
-    with the middle's expansion.  The hub components close the sum:
-    p_(2 + X + Y) merged, p_(1 + X) p_(1 + Y) apart.  Every power-sum
-    polynomial is held on packed keys at the width of the vertex count,
-    and the closed sum is unpacked once and handed to p_to_e.
-    """
-    lam = _multipath_lengths(lengths)
-    w = _width(sum(lam) - len(lam) + 2)
-    free = [_packed(_signed_arrangements(r), w) for r in range(lam[0])]
-    states: dict[tuple[int, int, bool], PackedTerms] = {(0, 0, False): {0: 1}}
-    # shortest paths first, so fewer states meet the long paths' loops
-    for length in reversed(lam):
-        step: dict[tuple[int, int, bool], PackedTerms] = {}
-        for (x0, y0, merged), poly in states.items():
-            kept = (x0 + y0 + length - 1, 0, True)
-            _accumulate(step.setdefault(kept, {}), poly, (-1) ** length)
-            for r in range(length):
-                attached = length - 1 - r
-                middle: PackedTerms = {}
-                _multiply_into(middle, poly, free[r], (-1) ** attached)
-                if merged:
-                    key = (x0 + attached, 0, True)
-                    _accumulate(step.setdefault(key, {}), middle, attached + 1)
-                    continue
-                for x in range(attached + 1):
-                    key = (x0 + x, y0 + attached - x, False)
-                    _accumulate(step.setdefault(key, {}), middle)
-        states = step
-    total: PackedTerms = {}
-    for (x, y, merged), poly in states.items():
-        hubs = (2 + x,) if merged else (1 + x, 1 + y)
-        _multiply_into(total, poly, {_pack(hubs, w): 1})
-    return p_to_e(SymFunc._trusted(Basis.POWERSUM, _unpacked(total, w)))
-
-
-# ----------------------------------------------------------------- oracle
-
-def _edges_in_dfs_order(graph: Graph) -> list[tuple[int, int]]:
-    """Edges sorted by when a depth-first search reaches their later
-    endpoint, which keeps the transfer's frontier narrow.
-
-    The search starts from each unvisited vertex in turn and visits
-    neighbours in ascending order; an edge is listed (earlier, later)
-    in that numbering.
+    Branch vertices have degree other than 2, and a component that is a
+    pure cycle gets its least vertex as one.  A chain runs from a branch
+    vertex through degree-2 vertices only, to a branch vertex or back to
+    its start.  Chains are sorted by when a depth-first search over the
+    branch vertices, visiting neighbours in ascending order, reaches
+    their later end, then their earlier end, then by length; that keeps
+    the frontier narrow.
     """
     adjacent: list[list[int]] = [[] for _ in range(graph.n)]
     for u, v in graph.edges:
         adjacent[u].append(v)
         adjacent[v].append(u)
+    branch = [len(around) != 2 for around in adjacent]
+    covered = branch[:]
+    walked: set[tuple[int, int]] = set()
+    chains: list[Chain] = []
+
+    def walk(start: int, step: int) -> None:
+        prev, cur, r = start, step, 0
+        while not branch[cur]:
+            covered[cur] = True
+            r += 1
+            x, y = adjacent[cur]
+            prev, cur = cur, y if x == prev else x
+        walked.add((cur, prev))  # the same chain, entered from its other end
+        chains.append((start, cur, r))
+
+    for start in range(graph.n):
+        if branch[start]:
+            for step in adjacent[start]:
+                if (start, step) not in walked:
+                    walk(start, step)
+    for start in range(graph.n):
+        if not covered[start]:  # the least vertex of a pure cycle
+            branch[start] = covered[start] = True
+            walk(start, adjacent[start][0])
+
+    links: list[list[int]] = [[] for _ in range(graph.n)]
+    for u, v, _ in chains:
+        links[u].append(v)
+        links[v].append(u)
     rank = [-1] * graph.n
     reached = 0
     for root in range(graph.n):
-        stack = [root]
+        stack = [root] if branch[root] else []
         while stack:
             v = stack.pop()
             if rank[v] >= 0:
                 continue
             rank[v] = reached
             reached += 1
-            stack.extend(sorted(adjacent[v], reverse=True))
-    pairs = (sorted(edge, key=rank.__getitem__) for edge in graph.edges)
-    return sorted(pairs, key=lambda e: (rank[e[1]], rank[e[0]]))
+            stack.extend(sorted(links[v], reverse=True))
+    ordered = [(u, v, r) if rank[u] <= rank[v] else (v, u, r) for u, v, r in chains]
+    return sorted(ordered, key=lambda c: (rank[c[1]], rank[c[0]], c[2]))
+
+
+def multipath_chains(lengths: Iterable[int]) -> tuple[int, list[Chain]]:
+    """Vertex count and chains of two hubs, 0 and 1, joined by
+    internally disjoint paths of the given edge lengths (theta graphs
+    have three), shortest first: what csf_oracle takes from
+    multipath_graph(lengths), without building the graph."""
+    lam = _multipath_lengths(lengths)
+    return sum(lam) - len(lam) + 2, [(0, 1, length - 1) for length in reversed(lam)]
 
 
 def csf_oracle(graph: Graph) -> SymFunc:
-    """Chromatic symmetric function from Stanley's signed edge-subset
-    sum, sum over S of (-1)**|S| p_(component sizes of S), returned in
-    the elementary basis.
+    """Chromatic symmetric function of any graph from first principles:
+    csf_chains over the graph's chains."""
+    return csf_chains(graph.n, _graph_chains(graph))
 
-    The sum is carried across the edges in depth-first order as a
-    frontier transfer, so no subset is enumerated.  A state holds the
-    block label of each live vertex (touched, and not past its last
-    edge), the size of each block, and the multiset of closed component
-    sizes packed into one int, its key in symfunc's partition codec at
-    width n.bit_length(); it maps to a signed count.  Each edge is
-    either skipped, or kept with the sign flipped, merging its
-    endpoints' blocks; kept inside one block it cancels the skip, so
-    such states drop out.  An endpoint whose last edge this was
-    retires, and a block left with no live vertex closes into the
-    multiset.  The work follows the live states, so the call refuses a
-    graph once an edge step leaves more than _ORACLE_MAX_STATES of
-    them, before the next step allocates.
-    """
-    n = graph.n
-    bits = _width(n)
-    edges = _edges_in_dfs_order(graph)
-    last: dict[int, int] = {}
-    for idx, (u, v) in enumerate(edges):
-        last[u] = last[v] = idx
-    # isolated vertices start in the digit for parts of size 1
-    states: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {
-        ((), (), n - len(last)): 1
-    }
-    frontier: list[int] = []
-    for idx, (u, v) in enumerate(edges):
-        fresh = [w for w in (u, v) if w not in frontier]
-        frontier += fresh
-        i, j = frontier.index(u), frontier.index(v)
-        retired = {p for p, w in enumerate(frontier) if last[w] == idx}
-        plans: dict[tuple[int, ...], tuple] = {}
-        step: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
-        for (labels, sizes, packed), count in states.items():
-            for _ in fresh:
-                labels += (len(sizes),)
-                sizes += (1,)
-            a, b = labels[i], labels[j]
-            if a == b:  # keeping the edge cancels skipping it
-                continue
-            merged = list(sizes)
-            merged[a] += merged[b]
-            kept = tuple(a if x == b else x for x in labels)
-            for branch, branch_sizes, signed in (labels, sizes, count), (kept, merged, -count):
-                plan = plans.get(branch)
-                if plan is None:
-                    plan = plans[branch] = _retire(branch, retired)
-                live, order, closed = plan
-                key = (
-                    live,
-                    tuple([branch_sizes[x] for x in order]),
-                    packed + _pack([branch_sizes[x] for x in closed], bits),
+
+def _place(size: int, slot: int | None, base: int, w: int) -> int:
+    # a block that stays open is the digit at its slot; one that closes
+    # is a part of the packed multiset below base
+    return 1 << (size - 1) * w if slot is None else size << base + slot * w
+
+
+def _cut_terms(sizes, slots, r: int, free, base: int, w: int) -> dict[int, int]:
+    """Key offsets and coefficients of every way to cut a chain of r
+    interior vertices between blocks of the given sizes, which move to
+    the given slots: t of the vertices attach to the ends and the free
+    middle of r - t closes as free[r - t].  Two blocks share the t in
+    t + 1 ways with sign (-1)**t.  One block takes all t in t + 1 ways
+    too; at t = r that folds with the chain kept whole into r (-1)**r."""
+    terms: dict[int, int] = {}
+    get = terms.get
+    for t in range(r + 1):
+        splits: dict[int, int] = {}
+        if len(sizes) == 1:
+            coeff = (-1) ** t * (t + 1 if t < r else r)
+            splits[_place(sizes[0] + t, slots[0], base, w)] = coeff
+        else:
+            for x in range(t + 1):
+                split = _place(sizes[0] + x, slots[0], base, w) + _place(
+                    sizes[1] + t - x, slots[1], base, w
                 )
-                step[key] = step.get(key, 0) + signed
-        states = {key: count for key, count in step.items() if count}
-        if len(states) > _ORACLE_MAX_STATES:
-            raise ResourceLimitError(
-                f"oracle transfer capped at {_ORACLE_MAX_STATES} live states, "
-                f"edge {idx + 1} of {len(edges)} left {len(states)}"
-            )
-        frontier = [w for p, w in enumerate(frontier) if p not in retired]
-    # every vertex has retired, so the packed multiset alone keys a state
-    acc = {_unpack(packed, bits): count for (_, _, packed), count in states.items()}
-    return p_to_e(SymFunc._trusted(Basis.POWERSUM, acc))
+                splits[split] = splits.get(split, 0) + (-1) ** t
+        for split, coeff in splits.items():
+            for key, c in free[r - t].items():
+                key += split
+                terms[key] = get(key, 0) + coeff * c
+    return terms
 
 
-def _retire(labels: tuple[int, ...], retired: set[int]):
-    """What retiring the frontier positions in retired does to any
-    state with these block labels: the live labels renumbered by first
-    appearance, the old label of each new block in order, and the old
-    labels of the blocks left with no live vertex, which close."""
-    renumber: dict[int, int] = {}
-    live = tuple(
-        renumber.setdefault(x, len(renumber))
-        for p, x in enumerate(labels)
-        if p not in retired
+def _partition_counts(top: int) -> list[int]:
+    """p(0), ..., p(top): the number of partitions of each size."""
+    counts = [1] + [0] * top
+    for part in range(1, top + 1):
+        for total in range(part, top + 1):
+            counts[total] += counts[total - part]
+    return counts
+
+
+def _refuse(idx: int, chains: int, made: int) -> NoReturn:
+    raise ResourceLimitError(
+        f"oracle transfer capped at {_ORACLE_MAX_STATES} live states, "
+        f"chain {idx + 1} of {chains} left {made}"
     )
-    closed = set(labels).difference(renumber)
-    return live, tuple(renumber), closed
+
+
+def csf_chains(n: int, chains: Sequence[Chain]) -> SymFunc:
+    """Chromatic symmetric function, in the elementary basis, of the
+    graph on n vertices made of the given chains; vertices on no chain
+    are isolated.
+
+    Stanley's signed edge-subset sum, sum over S of (-1)**|S|
+    p_(component sizes of S), is carried across the chains in the order
+    given as a frontier transfer, so no subset is enumerated.  A state
+    maps the block labels of the live branch vertices (touched, and not
+    past their last chain) to one power-sum polynomial on packed keys:
+    the closed component sizes in the low n * w bits, in symfunc's codec
+    at w = n.bit_length(), and each open block's size as a w-bit digit
+    above them, at the slot of its first live vertex.  A chain of r
+    interior vertices is kept whole, merging its ends' blocks with sign
+    (-1)**(r + 1), or cut: t vertices attach to the ends and the free
+    middle closes as _signed_arrangements(r - t), the path's expansion
+    (Stanley 1995, Thm 2.5).  Each way changes a key by an offset that
+    depends only on the end blocks' sizes, so a step folds them, and the
+    closing of blocks left with no live vertex, into one cached
+    polynomial per target labels and sizes.  The work follows the live
+    terms, so the call refuses once a step has made more than
+    _ORACLE_MAX_STATES of them, counted as they are made; before any
+    step, it refuses a chain whose free middles need more than
+    _CHAIN_MAX_TABLE partitions.
+    """
+    w = _width(n)
+    base = n * w
+    digit = (1 << w) - 1
+    last: dict[int, int] = {}
+    for idx, (u, v, _) in enumerate(chains):
+        last[u] = last[v] = idx
+    interior = [r for _, _, r in chains]
+    tables = list(accumulate(_partition_counts(max(interior, default=0))))
+    for idx, r in enumerate(interior):
+        if tables[r] > _CHAIN_MAX_TABLE:
+            raise ResourceLimitError(
+                f"oracle transfer capped at {_CHAIN_MAX_TABLE} partitions in a chain's "
+                f"free middles, chain {idx + 1} of {len(chains)} needs {tables[r]}"
+            )
+    free = [_packed(_signed_arrangements(r), w) for r in range(len(tables))]
+    budget = _ORACLE_MAX_STATES
+    slot_of: dict[int, int] = {}
+    spare: list[int] = []
+    frontier: list[int] = []
+    states: dict[tuple[int, ...], dict[int, int]] = {(): {n - len(last) - sum(interior): 1}}
+    for idx, (u, v, r) in enumerate(chains):
+        fresh = [x for x in dict.fromkeys((u, v)) if x not in slot_of]
+        for x in fresh:
+            slot_of[x] = heapq.heappop(spare) if spare else len(frontier)
+            frontier.append(x)
+        slots = [slot_of[x] for x in frontier]
+        extra = tuple(slots[len(slots) - len(fresh):])
+        i, j = frontier.index(u), frontier.index(v)
+        alive = [last[x] != idx for x in frontier]
+        kept_sign = (-1) ** (r + 1)
+
+        def head(labels, blocks):
+            # slot of the blocks' first live vertex, None when they close
+            for p, x in enumerate(labels):
+                if x in blocks and alive[p]:
+                    return slots[p]
+            return None
+
+        def target(labels, relabel):
+            return tuple(relabel.get(x, x) for x, keep in zip(labels, alive) if keep)
+
+        caches: dict[tuple, dict[int, tuple]] = {}
+        step: dict[tuple[int, ...], dict[int, int]] = {}
+        made = 0
+        for labels, poly in states.items():
+            labels += extra
+            a, b = labels[i], labels[j]
+            if a == b and r == 0:  # keeping the edge cancels skipping it
+                continue
+            na, nb, nm = head(labels, (a,)), head(labels, (b,)), head(labels, (a, b))
+            cut = target(labels, {a: na, b: nb})
+            kept = target(labels, {a: nm, b: nm})
+            sha = base + a * w
+            # one block is read once: slot n is never used, so b reads 0
+            shb = base + (b if a != b else n) * w
+            # two blocks that both close weigh the same with sizes swapped
+            swap = a != b and na is None and nb is None
+            split = kept != cut
+
+            def build(sizes: int):
+                # the kept offset comes first when it goes to its own target
+                sa, sb = sizes >> w or 1, sizes & digit or 1
+                if a == b:
+                    folded = _cut_terms((sa,), (na,), r, free, base, w)
+                else:
+                    folded = _cut_terms((sa, sb), (na, nb), r, free, base, w)
+                    k = _place(sa + sb + r, nm, base, w)
+                    if split:
+                        return k, tuple(item for item in folded.items() if item[1])
+                    folded[k] = folded.get(k, 0) + kept_sign
+                return tuple(item for item in folded.items() if item[1])
+
+            cache = caches.setdefault((a == b, na, nb, nm, split), {})
+            out = step.setdefault(cut, {})
+            kout = step.setdefault(kept, {}) if split else {}
+            get, kget = out.get, kout.get
+            before = len(out) + len(kout)
+            limit = budget - made + before
+            for key, c in poly.items():
+                if not c:
+                    continue
+                sa = key >> sha & digit
+                sb = key >> shb & digit
+                rest = key - (sa << sha) - (sb << shb)
+                sizes = sb << w | sa if swap and sb < sa else sa << w | sb
+                terms = cache.get(sizes)
+                if terms is None:
+                    terms = cache[sizes] = build(sizes)
+                if split:
+                    k, terms = terms
+                    k += rest
+                    kout[k] = kget(k, 0) + kept_sign * c
+                for off, f in terms:
+                    k = rest + off
+                    out[k] = get(k, 0) + c * f
+                if len(out) + len(kout) > limit:
+                    _refuse(idx, len(chains), len(out) + len(kout) - limit + budget)
+            made += len(out) + len(kout) - before
+        states = step
+        for p, keep in enumerate(alive):
+            if not keep:
+                heapq.heappush(spare, slots[p])
+        frontier = [x for x, keep in zip(frontier, alive) if keep]
+    # every branch vertex has retired, so only the closed multiset is left
+    total = states.get((), {})
+    return p_to_e(SymFunc._trusted(Basis.POWERSUM, _unpacked(total, w)))
 
 
 # ----------------------------------------------------------- verification
@@ -497,7 +593,7 @@ def theta_scan_cells(n_max: int) -> list[tuple[int, int, int]]:
 def _scan_cell(cell: tuple[int, int, int]) -> ThetaScanRow:
     a, b, c = cell
     n = a + b + c - 1
-    x = csf_multipath(cell)
+    x = csf_chains(*multipath_chains(cell))
     report = is_e_positive(x)
     lam, coeff = min(x.sorted_terms(), key=lambda item: (item[1], item[0]))
     return ThetaScanRow(
@@ -545,10 +641,12 @@ def scan_theta(
     """Stream e-positivity rows for every theta graph with at most
     n_max vertices, in (n, a, b, c) order.
 
-    Every cell goes through csf_multipath, so no cell has an edge
-    bound.  With a checkpoint path, finished rows are appended as JSON
-    lines and a rerun replays them without recomputation; a path that
-    cannot be read or appended to raises ValueError before any work.
+    Every cell goes through csf_chains with its three path lengths as
+    the chains, so no cell has an edge bound, only the oracle's budget
+    of live terms.  With a checkpoint path, finished rows are appended
+    as JSON lines and a rerun replays them without recomputation; a
+    path that cannot be read or appended to raises ValueError before
+    any work.
     """
     cells = theta_scan_cells(n_max)
     try:
@@ -560,6 +658,9 @@ def scan_theta(
 
     fresh: Iterator[ThetaScanRow]
     if jobs > 1 and pending:
+        # imported here, so only a parallel scan loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=jobs)
         fresh = pool.map(_scan_cell, pending)
     else:

@@ -4,8 +4,8 @@ Each function here recomputes something by a different argument than
 the production code: the compositions decoded from their cut
 bitmasks, the signed chord weight, the segment picture of the chord
 weight, Newton's recurrence for the power sums, Stanley's edge-subset
-sum one subset at a time, products by sorting joined partitions, and
-so on.
+sum one subset at a time and carried edge by edge, products by sorting
+joined partitions, and so on.
 They exist only to cross-check the package, so they live beside the
 tests and not in it.  The file name does not start with test_, so
 pytest imports it without collecting it.
@@ -23,7 +23,7 @@ from chromsym.compositions import (
 )
 from chromsym.engine import _aggregate
 from chromsym.graphs import Edge, Graph, _normalize_edge
-from chromsym.symfunc import Basis, SymFunc, monomial, p_to_e
+from chromsym.symfunc import Basis, SymFunc, _pack, _unpack, _width, monomial, p_to_e
 
 # ----------------------------------------------------------- compositions
 
@@ -173,6 +173,107 @@ def csf_by_edge_subsets(graph: Graph) -> SymFunc:
         shape = _root_sizes(parent, size)
         acc[shape] = acc.get(shape, 0) + (-1) ** mask.bit_count()
     return p_to_e(SymFunc(Basis.POWERSUM, acc))
+
+
+def _edges_in_dfs_order(graph: Graph) -> list[tuple[int, int]]:
+    """Edges sorted by when a depth-first search reaches their later
+    endpoint, which keeps the transfer's frontier narrow.
+
+    The search starts from each unvisited vertex in turn and visits
+    neighbours in ascending order; an edge is listed (earlier, later)
+    in that numbering.
+    """
+    adjacent: list[list[int]] = [[] for _ in range(graph.n)]
+    for u, v in graph.edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    rank = [-1] * graph.n
+    reached = 0
+    for root in range(graph.n):
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            if rank[v] >= 0:
+                continue
+            rank[v] = reached
+            reached += 1
+            stack.extend(sorted(adjacent[v], reverse=True))
+    pairs = (sorted(edge, key=rank.__getitem__) for edge in graph.edges)
+    return sorted(pairs, key=lambda e: (rank[e[1]], rank[e[0]]))
+
+
+def _retire(labels: tuple[int, ...], retired: set[int]):
+    """What retiring the frontier positions in retired does to any
+    state with these block labels: the live labels renumbered by first
+    appearance, the old label of each new block in order, and the old
+    labels of the blocks left with no live vertex, which close."""
+    renumber: dict[int, int] = {}
+    live = tuple(
+        renumber.setdefault(x, len(renumber))
+        for p, x in enumerate(labels)
+        if p not in retired
+    )
+    closed = set(labels).difference(renumber)
+    return live, tuple(renumber), closed
+
+
+def csf_by_edge_transfer(graph: Graph) -> SymFunc:
+    """Chromatic symmetric function by Stanley's signed edge-subset sum,
+    carried across the edges one at a time in depth-first order.
+
+    A state holds the block label of each live vertex (touched, and not
+    past its last edge), the size of each block, and the packed
+    multiset of closed component sizes; it maps to a signed count.  Each
+    edge is skipped, or kept with the sign flipped, merging its
+    endpoints' blocks; kept inside one block it cancels the skip, so
+    such states drop out.  A vertex past its last edge retires, and a
+    block left with no live vertex closes into the multiset.  It has no
+    work bound.
+    """
+    n = graph.n
+    bits = _width(n)
+    edges = _edges_in_dfs_order(graph)
+    last: dict[int, int] = {}
+    for idx, (u, v) in enumerate(edges):
+        last[u] = last[v] = idx
+    # isolated vertices start in the digit for parts of size 1
+    states: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {
+        ((), (), n - len(last)): 1
+    }
+    frontier: list[int] = []
+    for idx, (u, v) in enumerate(edges):
+        fresh = [w for w in (u, v) if w not in frontier]
+        frontier += fresh
+        i, j = frontier.index(u), frontier.index(v)
+        retired = {p for p, w in enumerate(frontier) if last[w] == idx}
+        plans: dict[tuple[int, ...], tuple] = {}
+        step: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
+        for (labels, sizes, packed), count in states.items():
+            for _ in fresh:
+                labels += (len(sizes),)
+                sizes += (1,)
+            a, b = labels[i], labels[j]
+            if a == b:  # keeping the edge cancels skipping it
+                continue
+            merged = list(sizes)
+            merged[a] += merged[b]
+            kept = tuple(a if x == b else x for x in labels)
+            for branch, branch_sizes, signed in (labels, sizes, count), (kept, merged, -count):
+                plan = plans.get(branch)
+                if plan is None:
+                    plan = plans[branch] = _retire(branch, retired)
+                live, order, closed = plan
+                key = (
+                    live,
+                    tuple([branch_sizes[x] for x in order]),
+                    packed + _pack([branch_sizes[x] for x in closed], bits),
+                )
+                step[key] = step.get(key, 0) + signed
+        states = {key: count for key, count in step.items() if count}
+        frontier = [w for p, w in enumerate(frontier) if p not in retired]
+    # every vertex has retired, so the packed multiset alone keys a state
+    acc = {_unpack(packed, bits): count for (_, _, packed), count in states.items()}
+    return p_to_e(SymFunc._trusted(Basis.POWERSUM, acc))
 
 
 def component_partition(graph: Graph, subset: Sequence[Edge]) -> Partition:

@@ -138,9 +138,18 @@ def test_csf_oracle_fallback(capsys):
     assert data["csf"]["terms"][0] == [[5], 35]
 
 
-def test_csf_multipath_takes_the_transfer_past_the_state_budget(monkeypatch, capsys):
-    # the transfer holds none of the oracle's states, so its budget cannot stop it
-    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 0)
+def test_csf_multipath_transfer_keeps_the_state_budget(monkeypatch, capsys):
+    # the paths go straight into the oracle's chain transfer, so its
+    # budget holds for them: theta:3,3,2 peaks at 17 live terms, after
+    # its second chain
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 16)
+    assert main(["csf", "theta:3,3,2", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: oracle transfer capped at 16 live states, chain 2 of 3 left 17\n"
+    )
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 17)
     assert main(["csf", "theta:3,3,2", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["source"] == "transfer"
@@ -148,7 +157,8 @@ def test_csf_multipath_takes_the_transfer_past_the_state_budget(monkeypatch, cap
         [[7], 98], [[6, 1], 40], [[5, 2], 42], [[4, 3], 22],
         [[4, 2, 1], 6], [[3, 3, 1], 8], [[3, 2, 2], 6],
     ]
-    # while an edges spec takes the oracle, which the budget stops
+    # and an edges spec, which takes the oracle by its graph
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 0)
     assert main(["csf", "edges:4;0-1,1-2,2-3,0-2", "--format", "json"]) == 1
     assert "oracle transfer capped at 0 live states" in capsys.readouterr().err
 
@@ -257,14 +267,14 @@ def test_verify_oracle_only_family(capsys):
 
 
 def test_verify_resource_bound_exits_one(monkeypatch, capsys):
-    # the path on 7 vertices peaks at 19 live states, after its fifth edge
-    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 18)
+    # the path on 7 vertices is one chain, which leaves 15 live terms
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 14)
     for spec in ("edges:7;0-1,1-2,2-3,3-4,4-5,5-6", "path:7"):
         assert main(["verify", spec]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: oracle transfer capped at 18 live states, edge 5 of 6 left 19\n"
+            "error: oracle transfer capped at 14 live states, chain 1 of 1 left 15\n"
         )
 
 
@@ -317,7 +327,8 @@ def test_max_edges_must_be_a_nonnegative_ascii_integer(command, spec, value, cap
 
 
 def test_state_budget_is_inclusive(monkeypatch, capsys):
-    # one edge leaves two states: the edge skipped, and the edge kept
+    # one edge is one chain, which leaves two live terms: the edge
+    # skipped, and the edge kept
     monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 0)
     assert main(["csf", "edges:3;"]) == 0
     capsys.readouterr()
@@ -325,7 +336,7 @@ def test_state_budget_is_inclusive(monkeypatch, capsys):
     assert main(["csf", "edges:3;0-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: oracle transfer capped at 1 live states, edge 1 of 1 left 2\n"
+    assert captured.err == "error: oracle transfer capped at 1 live states, chain 1 of 1 left 2\n"
     monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 2)
     assert main(["csf", "edges:3;0-1"]) == 0
     assert capsys.readouterr().out == "2e_{21}\n"
@@ -388,7 +399,8 @@ def test_scan_theta_malformed_inner_line_exits_two(tmp_path, capsys):
 
 
 def test_scan_theta_has_no_edge_bound(capsys):
-    # no cell needs the edge-subset oracle, so there is no cap to set
+    # cells are bounded by the transfer's live terms, so there is no
+    # edge cap to set
     with pytest.raises(SystemExit) as exc:
         main(["scan-theta", "--max-n", "9", "--max-edges", "8"])
     assert exc.value.code == 2
@@ -517,6 +529,20 @@ def test_closed_stdout_is_not_a_traceback():
         os.close(write_end)
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 1
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only a parallel scan needs worker processes, so starting the CLI
+    # pays nothing for them
+    code = (
+        "import sys, chromsym.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0
+    assert proc.stdout == "[]\n"
 
 
 def test_installed_script_runs():

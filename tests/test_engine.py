@@ -1,11 +1,11 @@
-"""Unit tests for the formula evaluators, the edge-subset oracle, and
-the verification plumbing.
+"""Unit tests for the formula evaluators, the chain transfer behind the
+oracle and the theta scan, and the verification plumbing.
 
 The oracle and the closed formulas share no code, so their agreement
 on whole families is the load-bearing check; the oracle itself is
-anchored by the subset-by-subset sum in reference.py, by algebraic
-invariants (disjoint unions multiply) and, in test_acceptance, by the
-independent coloring counter.
+anchored by the subset-by-subset sum and the edge-by-edge transfer in
+reference.py, by algebraic invariants (disjoint unions multiply) and,
+in test_acceptance, by the independent coloring counter.
 """
 
 import random
@@ -20,12 +20,13 @@ import chromsym.symfunc as symfunc
 from chromsym.engine import (
     ThetaScanRow,
     check_triple_deletion,
+    csf_chains,
     csf_cycle,
     csf_cycle_chord,
-    csf_multipath,
     csf_oracle,
     csf_path,
     csf_tadpole,
+    multipath_chains,
     scan_theta,
     theta_scan_cells,
     verify,
@@ -43,7 +44,13 @@ from chromsym.graphs import (
     theta_graph,
 )
 from chromsym.symfunc import Basis, SymFunc, monomial, p_to_e, render_latex
-from reference import csf_by_edge_subsets, csf_cycle_chord_signed, signed_chord_weight
+import reference
+from reference import (
+    csf_by_edge_subsets,
+    csf_by_edge_transfer,
+    csf_cycle_chord_signed,
+    signed_chord_weight,
+)
 
 
 def random_graph(rng, n, p=0.35):
@@ -190,20 +197,45 @@ def test_oracle_multiplies_over_disjoint_union():
 
 
 def test_oracle_respects_state_budget(monkeypatch):
-    # the path on 7 vertices peaks at 19 live states, after its fifth edge
+    # the path on 7 vertices is one chain, which leaves the 15 partitions
+    # of 7 as live terms
     g = path_graph(7)
-    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 18)
-    with pytest.raises(ResourceLimitError, match="18 live states, edge 5 of 6 left 19"):
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 14)
+    with pytest.raises(ResourceLimitError, match="14 live states, chain 1 of 1 left 15"):
         csf_oracle(g)
     # and the budget is inclusive
-    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 19)
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 15)
     assert csf_oracle(g) == csf_path(7)
 
 
-@pytest.mark.parametrize("cell", [(9, 8, 8), (11, 10, 5), (10, 9, 8)])
-def test_oracle_runs_past_the_old_edge_cap(cell):
-    # 25 to 27 edges, past what a 2**m subset loop could take
-    assert csf_oracle(theta_graph(*cell)) == csf_multipath(cell)
+def test_oracle_counts_terms_as_they_are_made(monkeypatch):
+    # theta(5,5,4) peaks at 121 live terms, made by its second chain; a
+    # budget of 60 stops that chain partway, not at the end of the step
+    g = theta_graph(5, 5, 4)
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 60)
+    with pytest.raises(ResourceLimitError) as exc:
+        csf_oracle(g)
+    assert str(exc.value) == "oracle transfer capped at 60 live states, chain 2 of 3 left 68"
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 121)
+    assert csf_oracle(g) == csf_by_edge_transfer(g)
+
+
+def test_oracle_caps_the_free_middle_tables(monkeypatch):
+    # a chain of r inner vertices needs every partition of up to r
+    # vertices; the path on 47 vertices needs 540 635, and is refused
+    # before any is built
+    with pytest.raises(ResourceLimitError) as exc:
+        csf_oracle(path_graph(47))
+    assert str(exc.value) == (
+        "oracle transfer capped at 500000 partitions in a chain's free middles, "
+        "chain 1 of 1 needs 540635"
+    )
+    # the path on 7 vertices needs 1 + 1 + 2 + 3 + 5 + 7 = 19, inclusive
+    monkeypatch.setattr(engine, "_CHAIN_MAX_TABLE", 18)
+    with pytest.raises(ResourceLimitError, match="chain 1 of 1 needs 19$"):
+        csf_oracle(path_graph(7))
+    monkeypatch.setattr(engine, "_CHAIN_MAX_TABLE", 19)
+    assert csf_oracle(path_graph(7)) == csf_path(7)
 
 
 def test_oracle_crosses_block_boundary():
@@ -232,6 +264,69 @@ def test_oracle_matches_edge_subset_sum(g):
     assert csf_oracle(g) == csf_by_edge_subsets(g)
 
 
+@st.composite
+def chained_graphs(draw):
+    """Disjoint unions of up to four parts under a random vertex
+    numbering, at most 16 vertices in all.  A part is an isolated
+    vertex, a pure cycle, a path, or a random core on up to five
+    vertices with pendant paths and loops (cycles through one core
+    vertex) hung off it."""
+    edges: set[tuple[int, int]] = set()
+    n = 0
+
+    def hang(anchor, count, loop):
+        # count new vertices in a row from anchor, closed back to it for a loop
+        nonlocal n
+        prev = anchor
+        for v in range(n, n + count):
+            edges.add((prev, v))
+            prev = v
+        n += count
+        if loop:
+            edges.add((anchor, prev))
+
+    for _ in range(draw(st.integers(1, 4))):
+        room = 16 - n
+        if room == 0:
+            break
+        kind = draw(st.sampled_from(["isolated", "cycle", "path", "core"]))
+        n += 1
+        if kind == "cycle" and room >= 3:
+            hang(n - 1, draw(st.integers(2, min(room, 7) - 1)), loop=True)
+        elif kind == "path" and room >= 2:
+            hang(n - 1, draw(st.integers(1, min(room, 7) - 1)), loop=False)
+        elif kind == "core":
+            first = n - 1
+            n += draw(st.integers(0, min(room, 5) - 1))
+            pairs = [(u, v) for u in range(first, n) for v in range(u + 1, n)]
+            if pairs:
+                edges.update(draw(st.lists(st.sampled_from(pairs), max_size=6)))
+            for _ in range(draw(st.integers(0, 2))):
+                loop = draw(st.booleans())
+                room = 16 - n
+                if room < 1 + loop:
+                    break
+                anchor = draw(st.integers(first, n - 1))
+                hang(anchor, draw(st.integers(1 + loop, min(room, 4))), loop)
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, tuple((perm[u], perm[v]) for u, v in sorted(edges)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chained_graphs())
+def test_oracle_matches_edge_by_edge_transfer(g):
+    assert csf_oracle(g) == csf_by_edge_transfer(g)
+
+
+def test_chains_of_a_graph():
+    # a triangle with a pendant path of two edges, a 4-cycle, and an
+    # isolated vertex: branch vertices 0 (degree 3), 4 (degree 1), the
+    # cycle's least vertex 5, and 9 (degree 0)
+    g = Graph(10, ((0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (5, 6), (6, 7), (7, 8), (5, 8)))
+    assert engine._graph_chains(g) == [(0, 0, 2), (0, 4, 1), (5, 5, 3)]
+    assert multipath_chains((3, 1, 2)) == (5, [(0, 1, 0), (0, 1, 1), (0, 1, 2)])
+
+
 # ---------------------------------------------------- multipath transfer
 
 @st.composite
@@ -251,13 +346,23 @@ def multipath_lengths(draw):
 @settings(max_examples=80, deadline=None)
 @given(multipath_lengths())
 def test_multipath_transfer_matches_oracle(lengths):
-    assert csf_multipath(lengths) == csf_oracle(multipath_graph(lengths))
+    # the lengths go straight in, with no graph built
+    x = csf_chains(*multipath_chains(lengths))
+    assert x == csf_by_edge_transfer(multipath_graph(lengths))
+
+
+@pytest.mark.parametrize("cell", [(9, 8, 8), (11, 10, 5), (10, 9, 8)])
+def test_oracle_runs_past_the_old_edge_cap(cell):
+    # 25 to 27 edges, past what a 2**m subset loop could take
+    assert csf_oracle(theta_graph(*cell)) == csf_by_edge_transfer(theta_graph(*cell))
 
 
 def test_multipath_transfer_covers_theta_cells():
-    for a, b, c in theta_scan_cells(11):
-        x = csf_multipath((a, b, c))
-        assert x == csf_oracle(theta_graph(a, b, c)), (a, b, c)
+    # every scan cell up to 16 vertices, across the change of the packed
+    # keys' digit width from 4 to 5 bits at n = 16
+    for a, b, c in theta_scan_cells(16):
+        x = csf_chains(*multipath_chains((a, b, c)))
+        assert x == csf_by_edge_transfer(theta_graph(a, b, c)), (a, b, c)
         if c == 1:
             assert x == csf_cycle_chord(a, b), (a, b)
 
@@ -269,21 +374,26 @@ def test_free_path_power_sums_match_composition_formula():
 
 def test_transfer_and_conversion_share_one_arrangement_table(monkeypatch):
     # a wrong entry planted in the shared table reaches both users, so a
-    # second copy of the table cannot come back unnoticed
+    # second copy of the table cannot come back unnoticed; the
+    # edge-by-edge reference reads no table, so it keeps the honest sum
     table = symfunc._signed_arrangements(3)
-    monkeypatch.setattr(engine, "p_to_e", lambda f: f)  # keep the transfer's p-basis sum
-    honest_sum = csf_multipath((4, 2, 2))
+    for module in engine, reference:  # keep both routes' p-basis sums
+        monkeypatch.setattr(module, "p_to_e", lambda f: f)
+    g = multipath_graph((4, 2, 2))
+    assert csf_oracle(g) == csf_by_edge_transfer(g)
     honest_image = symfunc._power_image(3)
     monkeypatch.setattr(symfunc, "_ARRANGEMENTS", {3: {**table, (3,): table[(3,)] + 1}})
     monkeypatch.setattr(symfunc, "_POWER_IMAGE", {})
-    assert csf_multipath((4, 2, 2)) != honest_sum
+    assert csf_oracle(g) != csf_by_edge_transfer(g)
     assert symfunc._power_image(3) != honest_image
 
 
 def test_multipath_transfer_rejects_what_the_builder_rejects():
     for lengths in [(), (3, 0), (1, 1, 2)]:
         with pytest.raises(ValueError):
-            csf_multipath(lengths)
+            multipath_chains(lengths)
+        with pytest.raises(ValueError):
+            multipath_graph(lengths)
 
 
 # --------------------------------------------------------- verification
@@ -445,7 +555,7 @@ def test_scan_partial_interrupt_resume(tmp_path):
 
 
 def test_scan_records_every_cell(tmp_path):
-    # every cell takes the multipath transfer, so none is held back
+    # every cell takes the chain transfer, so none is held back
     ck = tmp_path / "scan.jsonl"
     rows = list(scan_theta(9, checkpoint=str(ck)))
     assert [r.cell() for r in rows] == theta_scan_cells(9)
