@@ -110,9 +110,13 @@ def parse_graph_spec(text: str) -> GraphSpec:
 
 
 def parse_composition(text: str) -> Composition:
-    comp = _parse_int_list(text.rstrip(), 0, text.rstrip())
-    if any(p < 1 for p in comp):
-        raise SpecParseError(text, 0, "composition parts must be positive")
+    s = text.rstrip()
+    comp = _parse_int_list(s, 0, s)
+    offset = 0
+    for token, part in zip(s.split(","), comp):
+        if part < 1:
+            raise SpecParseError(s, offset, "composition parts must be positive")
+        offset += len(token) + 1
     return comp
 
 

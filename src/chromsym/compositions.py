@@ -167,6 +167,8 @@ def chord_weight(comp: Composition, b: int) -> int:
     """
     n = sum(comp)
     if not 2 <= b <= n - 2:
+        if n < 4:
+            raise ValueError(f"a chord needs at least 4 vertices, composition has {n}")
         raise ValueError(f"chord distance must lie in [2, {n - 2}], got {b}")
     p, s, q, t = split_params(comp, b)
     i1 = comp[0]

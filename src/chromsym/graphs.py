@@ -7,6 +7,7 @@ normalized to (min, max), so structurally equal graphs compare equal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -16,7 +17,8 @@ from .compositions import Partition, dominance_leq, partitions
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration would exceed its configured size bound."""
+    """A computation would exceed its budget of work or memory; the
+    message names the budget and what went past it."""
 
 
 Edge = tuple[int, int]
@@ -59,9 +61,6 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return adj
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_edge((u, v)) in set(self.edges)
 
 
 # ---------------------------------------------------------- constructors
@@ -277,17 +276,11 @@ def render_graph_spec(spec: GraphSpec) -> str:
 
 # ------------------------------------------------------------- colorings
 
-_CHROM_CACHE: dict[tuple[int, tuple[Edge, ...]], tuple[int, ...]] = {}
-
-# The memo keeps a polynomial per minor, so memory grows about
-# quadratically along a long path or cycle: cycle:500 peaks near 75 MB.
-_CHROM_MAX_EDGES = 500
-# Minors one call may add to the memo.  Family graphs and complete
-# graphs stay far below it (cycle:500 adds 1 494, K16 120), while a
-# random graph G(14, 1/2) can need 61 000 (3 s, 107 MB).  A call that
-# finds more than this many in the memo clears it first, so the memo
-# never holds more than twice the cap.
-_CHROM_MAX_MINORS = 20_000
+# Total edge count over the minors one call keeps in its memo, which
+# bounds both the memo's memory and the deletion-contraction work.
+# path:500 holds 124 750, cycle:500 374 247 and K16 7 260, while
+# path:1200 would need 719 400.
+_CHROM_MAX_MEMO = 500_000
 
 
 def _poly_sub(pa: tuple[int, ...], pb: tuple[int, ...]) -> tuple[int, ...]:
@@ -322,48 +315,49 @@ def _minors(key):
     return _kernel_form(n, edges[1:]), _kernel_form(n - 1, shifted)
 
 
-def _padded(form) -> tuple[int, ...]:
-    isolated, key = form
-    return (0,) * isolated + (_CHROM_CACHE[key] if key is not None else (1,))
-
-
+@functools.lru_cache(maxsize=1)
 def chromatic_polynomial(graph: Graph) -> tuple[int, ...]:
     """Exact power-basis coefficients, index i giving the k**i term.
 
-    Deletion-contraction over memoized minors, driven by an explicit
-    stack so long paths do not hit the interpreter's recursion limit.
-    The memo grows with the edge count, so the call refuses graphs
-    above _CHROM_MAX_EDGES edges, and stops once it has added
-    _CHROM_MAX_MINORS minors (counted per call, as the memo is shared).
-    A memo found above that size is cleared first.
+    Deletion-contraction over the minors met in this call, memoized in
+    a dict that lives for the call and driven by an explicit stack so
+    long paths do not hit the interpreter's recursion limit.  The call
+    raises ResourceLimitError once the minors in its memo would hold
+    more than _CHROM_MAX_MEMO edges in total; a graph with more edges
+    than that is refused before any minor is formed.  The last result
+    is kept, so evaluating one graph at k = 0..n builds it once.
     """
-    if graph.m > _CHROM_MAX_EDGES:
+    if graph.m > _CHROM_MAX_MEMO:
         raise ResourceLimitError(
-            f"deletion-contraction capped at {_CHROM_MAX_EDGES} edges, "
-            f"graph has {graph.m}"
+            f"deletion-contraction capped at {_CHROM_MAX_MEMO} edges in its "
+            f"memo, graph has {graph.m}"
         )
-    if len(_CHROM_CACHE) > _CHROM_MAX_MINORS:
-        _CHROM_CACHE.clear()
+    memo: dict[tuple[int, tuple[Edge, ...]], tuple[int, ...]] = {}
+
+    def padded(form) -> tuple[int, ...]:
+        isolated, key = form
+        return (0,) * isolated + (memo[key] if key is not None else (1,))
+
     top = _kernel_form(graph.n, graph.edges)
     stack = [(top[1], None)]
-    added = 0
+    held = 0
     while stack:
         key, minors = stack.pop()
-        if key is None or key in _CHROM_CACHE:
+        if key is None or key in memo:
             continue
         if minors is None:
-            added += 1
-            if added > _CHROM_MAX_MINORS:
+            held += len(key[1])
+            if held > _CHROM_MAX_MEMO:
                 raise ResourceLimitError(
-                    f"deletion-contraction capped at {_CHROM_MAX_MINORS} "
-                    "new minors, this graph needs more"
+                    f"deletion-contraction capped at {_CHROM_MAX_MEMO} edges "
+                    "in its memo, this graph needs more"
                 )
             minors = _minors(key)
             stack.append((key, minors))
             stack.extend((k, None) for _, k in minors)
         else:
-            _CHROM_CACHE[key] = _poly_sub(*map(_padded, minors))
-    return _padded(top)
+            memo[key] = _poly_sub(*map(padded, minors))
+    return padded(top)
 
 
 def count_proper_colorings(graph: Graph, k: int) -> int:

@@ -265,14 +265,9 @@ def _power_image(m: int) -> SymFunc:
     return cached
 
 
-def _p_to_e_terms(
-    terms: Mapping[int, int], w: int, images: dict[int, dict[int, int]]
-) -> dict[int, int]:
-    """Packed elementary terms of packed power-sum terms, by Horner
-    grouping on the top digit: f = c_() + sum over k of p_k * f_k, where
-    k is a key's largest part, f_k collects the keys less one part k and
-    is converted the same way.  images holds the packed p_k images met
-    so far."""
+def _horner_split(terms: Mapping[int, int], w: int):
+    """The constant term of packed power-sum terms, and for each largest
+    part k the terms with one part k taken off, in first-seen order."""
     out: dict[int, int] = {}
     tails: dict[int, dict[int, int]] = {}
     for key, c in terms.items():
@@ -281,12 +276,31 @@ def _p_to_e_terms(
             tails.setdefault(k, {})[key - (1 << (k - 1) * w)] = c
         else:
             out[0] = c
-    for k, tail in tails.items():
+    return out, iter(tails.items())
+
+
+def _p_to_e_terms(terms: Mapping[int, int], w: int) -> dict[int, int]:
+    """Packed elementary terms of packed power-sum terms, by Horner
+    grouping on the top digit: f = c_() + sum over k of p_k * f_k, where
+    k is a key's largest part and f_k collects the keys less one part k,
+    converted the same way.  An explicit stack holds one frame per
+    removed part, so a term with thousands of parts stays off the
+    interpreter's recursion limit."""
+    images: dict[int, dict[int, int]] = {}
+    stack = [(0, *_horner_split(terms, w))]
+    while True:
+        k, out, tails = stack[-1]
+        tail = next(tails, None)
+        if tail is not None:
+            stack.append((tail[0], *_horner_split(tail[1], w)))
+            continue
+        stack.pop()
+        if not stack:
+            return out
         image = images.get(k)
         if image is None:
             image = images[k] = _packed(_power_image(k)._terms, w)
-        _multiply_into(out, image, _p_to_e_terms(tail, w, images))
-    return out
+        _multiply_into(stack[-1][1], image, out)
 
 
 def p_to_e(f: SymFunc) -> SymFunc:
@@ -296,7 +310,7 @@ def p_to_e(f: SymFunc) -> SymFunc:
     if f.basis is not Basis.POWERSUM:
         raise ValueError("p_to_e expects a power-sum-basis input")
     w = _width(_degree(f._terms))
-    out = _p_to_e_terms(_packed(f._terms, w), w, {})
+    out = _p_to_e_terms(_packed(f._terms, w), w)
     return SymFunc._trusted(Basis.ELEMENTARY, _unpacked(out, w))
 
 

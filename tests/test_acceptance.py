@@ -172,7 +172,7 @@ def test_criterion_08_triple_deletion_identities():
         trios = [
             trio
             for trio in itertools.combinations(range(n), 3)
-            if not any(graph.has_edge(x, y) for x, y in itertools.combinations(trio, 2))
+            if not any(pair in graph.edges for pair in itertools.combinations(trio, 2))
         ]
         if not trios:
             continue

@@ -98,8 +98,9 @@ def test_parse_errors_carry_positions():
 def test_parse_composition():
     assert parse_composition("4,2") == (4, 2)
     assert parse_composition("6") == (6,)
-    with pytest.raises(SpecParseError):
-        parse_composition("4,0")
+    with pytest.raises(SpecParseError) as exc:
+        parse_composition("4,2,0")
+    assert exc.value.pos == 4
     with pytest.raises(SpecParseError):
         parse_composition("")
 
@@ -170,6 +171,13 @@ def test_csf_edges_family(capsys):
     assert capsys.readouterr().out == cycle
 
 
+def test_csf_edgeless_graph_of_a_thousand_vertices(capsys):
+    # its power-sum expansion is one term with a thousand parts, and the
+    # conversion to e must not recurse once per part
+    assert main(["csf", "edges:1000;"]) == 0
+    assert capsys.readouterr().out == "e_{" + "1" * 1000 + "}\n"
+
+
 def test_csf_output_is_deterministic(capsys):
     assert main(["csf", "tadpole:5,3", "--format", "json"]) == 0
     first = capsys.readouterr().out
@@ -222,6 +230,15 @@ def test_delta_domain_errors(capsys):
     assert main(["delta", "4,2", "--b", "1"]) == 2
     assert "chord distance" in capsys.readouterr().err
     assert main(["delta", "4,x", "--b", "3"]) == 2
+    capsys.readouterr()
+    # the message points at the offending part, not at the first one
+    assert main(["delta", "4,0", "--b", "2"]) == 2
+    assert "column 3 of '4,0'" in capsys.readouterr().err
+    # fewer than 4 vertices leave no chord distance, so say that rather
+    # than name an empty range
+    assert main(["delta", "3", "--b", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "a chord needs at least 4 vertices" in err and "[2, 1]" not in err
     with pytest.raises(SystemExit) as exc:
         main(["delta", "4,2"])
     assert exc.value.code == 2
@@ -467,8 +484,9 @@ def test_chrompoly_counts(capsys):
 
 
 def test_chrompoly_long_paths_never_trace_back():
-    # deletion-contraction runs without recursion, and a graph past its
-    # edge cap is a resource bound, not a crash
+    # deletion-contraction runs without recursion, and a path whose
+    # minors would hold more edges than the memo budget (719 400 for
+    # path:1200) is a resource bound, not a crash
     ok = run_module("chrompoly", "path:500", "--format", "json", capture_output=True)
     assert ok.returncode == 0, ok.stderr
     assert json.loads(ok.stdout)["counts"][2] == 2
@@ -479,8 +497,9 @@ def test_chrompoly_long_paths_never_trace_back():
 
 
 def test_chrompoly_minor_budget_is_a_resource_bound():
-    # a dense irregular graph needs about 61 000 minors, past the
-    # per-call budget; a long cycle and K16 stay well inside it
+    # the minors of a dense irregular graph would hold 842 486 edges,
+    # past the memo budget; a long cycle (374 247) and K16 (7 260) stay
+    # inside it
     rng = random.Random(1)
     dense = ",".join(f"{u}-{v}" for u, v in itertools.combinations(range(14), 2)
                      if rng.random() < 0.5)

@@ -489,7 +489,7 @@ def test_triple_deletion_random_instances():
             for x in range(g.n)
             for y in range(x + 1, g.n)
             for z in range(y + 1, g.n)
-            if not (g.has_edge(x, y) or g.has_edge(x, z) or g.has_edge(y, z))
+            if not {(x, y), (x, z), (y, z)} & set(g.edges)
         ]
         if not trios:
             continue

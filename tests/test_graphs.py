@@ -12,6 +12,7 @@ import pytest
 
 import chromsym.graphs as graphs
 from chromsym.compositions import partitions
+from chromsym.engine import verify
 from chromsym.graphs import (
     Family,
     Graph,
@@ -60,8 +61,7 @@ def test_graph_normalizes_edges():
     g = Graph(4, ((3, 1), (0, 2), (1, 0)))
     assert g.edges == ((0, 1), (0, 2), (1, 3))
     assert g.m == 3
-    assert g.has_edge(1, 3) and g.has_edge(3, 1)
-    assert not g.has_edge(2, 3)
+    assert (1, 3) in g.edges and (2, 3) not in g.edges
 
 
 def test_graph_equality_is_structural():
@@ -100,7 +100,7 @@ def test_path_and_cycle_shapes():
 def test_tadpole_shape():
     g = tadpole_graph(4, 2)
     assert g.n == 6 and g.m == 6
-    assert g.has_edge(0, 4) and g.has_edge(4, 5)
+    assert (0, 4) in g.edges and (4, 5) in g.edges
     assert tadpole_graph(3, 0) == cycle_graph(3)
     with pytest.raises(ValueError):
         tadpole_graph(2, 1)
@@ -261,26 +261,72 @@ def test_chromatic_polynomial_shape():
     assert chromatic_polynomial(Graph(3, ())) == (0, 0, 0, 1)
 
 
-def test_chromatic_memo_stays_within_twice_its_cap(monkeypatch):
-    cap = 40
-    monkeypatch.setattr(graphs, "_CHROM_MAX_MINORS", cap)
-    monkeypatch.setattr(graphs, "_CHROM_CACHE", {})
+def test_interleaved_colorings_match_brute_force():
+    # the last polynomial is kept, so alternating graphs rebuilds each
+    # one, and asking the same graph twice reuses it
     rng = random.Random(4242)
-    cleared = capped = 0
+    family = [random_graph(rng, 7, p=0.5) for _ in range(6)]
+    for k in range(4):
+        for g in family:
+            for _ in range(2):
+                assert count_proper_colorings(g, k) == brute_color_count(g, k), g
+
+
+def test_chromatic_polynomial_keeps_no_memo_across_calls():
+    def container_sizes():
+        return {name: len(value) for name, value in vars(graphs).items()
+                if not name.startswith("__") and isinstance(value, (dict, list, set))}
+
+    before = container_sizes()
+    rng = random.Random(99)
     for _ in range(10):
-        g = random_graph(rng, 7, p=0.5)
-        before = len(graphs._CHROM_CACHE)
-        try:
-            counts = [count_proper_colorings(g, k) for k in range(4)]
-        except ResourceLimitError:
-            capped += 1
-        else:
-            assert counts == [brute_color_count(g, k) for k in range(4)], g
-        after = len(graphs._CHROM_CACHE)
-        assert after <= 2 * cap
-        cleared += after < before
-    # the seed reaches both the clearing and the per-call cap
-    assert cleared and capped
+        chromatic_polynomial(random_graph(rng, 8, p=0.5))
+        assert chromatic_polynomial.cache_info().currsize <= 1
+    assert container_sizes() == before
+
+
+def test_chromatic_memo_budget_is_a_resource_bound(monkeypatch):
+    # the minors of a path with 11 edges are paths of 11, 10, ..., 1
+    # edges, 66 edges in all
+    g = path_graph(12)
+    chromatic_polynomial.cache_clear()
+    monkeypatch.setattr(graphs, "_CHROM_MAX_MEMO", 65)
+    with pytest.raises(ResourceLimitError, match="65 edges in its memo, this graph needs more$"):
+        chromatic_polynomial(g)
+    monkeypatch.setattr(graphs, "_CHROM_MAX_MEMO", 66)
+    assert count_proper_colorings(g, 3) == 3 * 2 ** 11
+    # a graph with more edges than the budget forms no minor at all
+    chromatic_polynomial.cache_clear()
+    monkeypatch.setattr(graphs, "_CHROM_MAX_MEMO", 10)
+    monkeypatch.setattr(graphs, "_minors", None)
+    with pytest.raises(ResourceLimitError, match="10 edges in its memo, graph has 11$"):
+        chromatic_polynomial(g)
+
+
+def test_long_path_runs_within_the_memo_budget():
+    # 699 edges, and 244 650 held in the memo
+    g = path_graph(700)
+    assert count_proper_colorings(g, 2) == 2
+    assert count_proper_colorings(g, 3) == 3 * 2 ** 699
+
+
+def test_verify_builds_the_chromatic_polynomial_once(monkeypatch):
+    calls = 0
+    real = graphs._minors
+
+    def counting(key):
+        nonlocal calls
+        calls += 1
+        return real(key)
+
+    monkeypatch.setattr(graphs, "_minors", counting)
+    spec = GraphSpec(Family.THETA, (3, 3, 2))
+    chromatic_polynomial.cache_clear()
+    chromatic_polynomial(build_graph(spec))
+    once, calls = calls, 0
+    chromatic_polynomial.cache_clear()
+    assert verify(spec).passed
+    assert calls == once > 0
 
 
 def test_count_is_monotone_polynomial_of_degree_n():
@@ -331,7 +377,8 @@ def test_stable_partition_types_against_brute_force():
                 return
             v = vertices[i]
             for b in blocks:
-                if all(not g.has_edge(v, w) for w in b):
+                # b holds earlier vertices, so each pair is (w, v) with w < v
+                if all((w, v) not in g.edges for w in b):
                     b.append(v)
                     grow(i + 1, blocks)
                     b.pop()
@@ -374,11 +421,11 @@ def test_triple_split_graphs_shapes():
     assert split[frozenset()] == g
     for key, h in split.items():
         assert h.m == g.m + len(key)
-    assert split[frozenset({1})].has_edge(0, 3)
-    assert split[frozenset({2})].has_edge(0, 5)
-    assert split[frozenset({3})].has_edge(3, 5)
+    assert (0, 3) in split[frozenset({1})].edges
+    assert (0, 5) in split[frozenset({2})].edges
+    assert (3, 5) in split[frozenset({3})].edges
     both = split[frozenset({1, 2})]
-    assert both.has_edge(0, 3) and both.has_edge(0, 5)
+    assert (0, 3) in both.edges and (0, 5) in both.edges
 
 
 def test_triple_split_graphs_validation():

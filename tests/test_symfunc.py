@@ -9,6 +9,7 @@ specialization identities e_m -> comb(k, m), p_m -> k.
 import itertools
 import json
 import random
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -282,6 +283,15 @@ def test_p_to_e_multiplicative_on_parts():
         for part in lam:
             pieces = pieces * p_to_e(monomial(P, (part,)))
         assert direct == pieces
+
+
+def test_p_to_e_of_a_term_with_hundreds_of_parts():
+    # p_2 = e_1^2 - 2 e_2, so p_2^600 expands binomially; the conversion
+    # removes one part per stack frame, 600 deep
+    image = p_to_e(monomial(P, (2,) * 600))
+    expected = {(2,) * j + (1,) * (1200 - 2 * j): comb(600, j) * (-2) ** j
+                for j in range(601)}
+    assert image == SymFunc(E, expected)
 
 
 # ------------------------------------------------------------ positivity
