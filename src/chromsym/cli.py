@@ -23,9 +23,7 @@ from .compositions import Composition, chord_weight, segment_dissection, split_p
 from .engine import (
     VerificationReport,
     closed_formula,
-    csf_chains,
     csf_oracle,
-    multipath_chains,
     scan_theta,
     verify,
 )
@@ -130,19 +128,10 @@ def _render_csf(x: SymFunc, fmt: str) -> str:
 
 def cmd_csf(args) -> int:
     spec = parse_graph_spec(args.graph)
-    path_lengths = FAMILIES[spec.family].path_lengths
-    if path_lengths:
-        # the lengths are checked as the builder checks them, but no
-        # graph is built: its chains are the paths themselves
-        chains = multipath_chains(spec.params)
-    else:
-        graph = build_graph(spec)
+    graph = build_graph(spec)
     x = closed_formula(spec)
     source = "formula"
-    if x is None and path_lengths:
-        x = csf_chains(*chains)
-        source = "transfer"
-    elif x is None:
+    if x is None:
         x = csf_oracle(graph)
         source = "oracle"
     if args.format == "json":

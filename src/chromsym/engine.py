@@ -10,12 +10,12 @@ per-family coefficient on top.  The oracle recomputes any graph's
 function from scratch from Stanley's signed sum over edge subsets,
 carried across the graph's chains between branch vertices by one
 frontier transfer instead of enumerated, and bounded by the live terms
-the transfer makes rather than by the edge count.  The theta scan and
-csf on path-length specs hand the same transfer their path lengths as
-chains, with no graph built.  The oracle shares no code path with the
-formulas; it shares only p_to_e, its packed partition keys, and the
-signed arrangement counts behind both, which the tests check against
-Newton's recurrence.
+the transfer makes rather than by the edge count.  verify, csf without
+a closed formula, and every theta scan cell all reach the transfer
+through csf_oracle on a built graph.  The oracle shares no code path
+with the formulas; it shares only p_to_e, its packed partition keys,
+and the signed arrangement counts behind both, which the tests check
+against Newton's recurrence.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 from .compositions import (
     Composition,
@@ -43,10 +43,9 @@ from .graphs import (
     Graph,
     GraphSpec,
     ResourceLimitError,
-    _multipath_lengths,
     build_graph,
     count_proper_colorings,
-    theta_graph,  # unused here; the benchmark's tracer wraps engine.theta_graph by name
+    theta_graph,
     triple_split_graphs,
 )
 from .symfunc import (
@@ -216,15 +215,6 @@ def _graph_chains(graph: Graph) -> list[Chain]:
             stack.extend(sorted(links[v], reverse=True))
     ordered = [(u, v, r) if rank[u] <= rank[v] else (v, u, r) for u, v, r in chains]
     return sorted(ordered, key=lambda c: (rank[c[1]], rank[c[0]], c[2]))
-
-
-def multipath_chains(lengths: Iterable[int]) -> tuple[int, list[Chain]]:
-    """Vertex count and chains of two hubs, 0 and 1, joined by
-    internally disjoint paths of the given edge lengths (theta graphs
-    have three), shortest first: what csf_oracle takes from
-    multipath_graph(lengths), without building the graph."""
-    lam = _multipath_lengths(lengths)
-    return sum(lam) - len(lam) + 2, [(0, 1, length - 1) for length in reversed(lam)]
 
 
 def csf_oracle(graph: Graph) -> SymFunc:
@@ -555,18 +545,29 @@ class ThetaScanRow:
 
     @classmethod
     def from_json(cls, line: str) -> "ThetaScanRow":
+        """Parse one checkpoint row, refusing any that no scan could
+        have written: a field of the wrong type, a vertex count or shape
+        size that does not fit the cell, or a verdict that contradicts
+        the minimal coefficient (zero coefficients are dropped, so a
+        computed row is e-positive exactly when it is positive)."""
         data = json.loads(line)
         if data.get("schema") != SCAN_SCHEMA:
             raise ValueError(f"unsupported scan row schema: {data.get('schema')!r}")
-        return cls(
-            a=data["a"],
-            b=data["b"],
-            c=data["c"],
-            n=data["n"],
-            e_positive=data["e_positive"],
-            min_coeff=data["min_coeff"],
-            min_coeff_shape=tuple(data["min_coeff_shape"]),
-        )
+        a, b, c, n, min_coeff = (data[key] for key in ("a", "b", "c", "n", "min_coeff"))
+        e_positive, shape = data["e_positive"], data["min_coeff_shape"]
+        if not isinstance(shape, list) or any(
+            type(x) is not int for x in [a, b, c, n, min_coeff, *shape]
+        ):
+            raise ValueError("scan row counts and shape parts must be integers")
+        if type(e_positive) is not bool:
+            raise ValueError(f"e_positive must be true or false, got {e_positive!r}")
+        if n != a + b + c - 1:
+            raise ValueError(f"n = {n} does not fit theta {a},{b},{c}")
+        if sum(shape) != n:
+            raise ValueError(f"min_coeff_shape sums to {sum(shape)}, not n = {n}")
+        if e_positive != (min_coeff > 0):
+            raise ValueError(f"e_positive {e_positive} contradicts min_coeff {min_coeff}")
+        return cls(a, b, c, n, e_positive, min_coeff, tuple(shape))
 
 
 def theta_scan_cells(n_max: int) -> list[tuple[int, int, int]]:
@@ -593,7 +594,7 @@ def theta_scan_cells(n_max: int) -> list[tuple[int, int, int]]:
 def _scan_cell(cell: tuple[int, int, int]) -> ThetaScanRow:
     a, b, c = cell
     n = a + b + c - 1
-    x = csf_chains(*multipath_chains(cell))
+    x = csf_oracle(theta_graph(a, b, c))
     report = is_e_positive(x)
     lam, coeff = min(x.sorted_terms(), key=lambda item: (item[1], item[0]))
     return ThetaScanRow(
@@ -641,12 +642,12 @@ def scan_theta(
     """Stream e-positivity rows for every theta graph with at most
     n_max vertices, in (n, a, b, c) order.
 
-    Every cell goes through csf_chains with its three path lengths as
-    the chains, so no cell has an edge bound, only the oracle's budget
-    of live terms.  With a checkpoint path, finished rows are appended
-    as JSON lines and a rerun replays them without recomputation; a
-    path that cannot be read or appended to raises ValueError before
-    any work.
+    Every cell goes through csf_oracle on its theta graph, whose three
+    paths are its chains, so no cell has an edge bound, only the
+    oracle's budget of live terms.  With a checkpoint path, finished
+    rows are appended as JSON lines and a rerun replays them without
+    recomputation; a path that cannot be read or appended to raises
+    ValueError before any work.
     """
     cells = theta_scan_cells(n_max)
     try:

@@ -111,9 +111,14 @@ def cycle_chord_graph(a: int, b: int) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def _multipath_lengths(path_lengths: Iterable[int]) -> tuple[int, ...]:
-    """Path lengths sorted descending, checked to describe a simple
-    multipath graph."""
+def multipath_graph(path_lengths: Iterable[int]) -> Graph:
+    """Two hub vertices 0 and 1 joined by internally disjoint paths,
+    one of each given edge length.
+
+    A second length-1 path would duplicate the hub edge, so at most one
+    part may equal 1.  The vertex count is (sum of lengths) - (number
+    of paths) + 2.
+    """
     lam = tuple(sorted(path_lengths, reverse=True))
     if not lam:
         raise ValueError("need at least one path length")
@@ -124,18 +129,6 @@ def _multipath_lengths(path_lengths: Iterable[int]) -> tuple[int, ...]:
             "at most one path may have length 1: a second one would "
             "repeat the edge between the two hub vertices"
         )
-    return lam
-
-
-def multipath_graph(path_lengths: Iterable[int]) -> Graph:
-    """Two hub vertices 0 and 1 joined by internally disjoint paths,
-    one of each given edge length.
-
-    A second length-1 path would duplicate the hub edge, so at most one
-    part may equal 1.  The vertex count is (sum of lengths) - (number
-    of paths) + 2.
-    """
-    lam = _multipath_lengths(path_lengths)
     edges = []
     nxt = 2
     for length in lam:

@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
+import chromsym.cli as cli
 import chromsym.engine as engine
 from chromsym.cli import SpecParseError, build_parser, main, parse_composition, parse_graph_spec
-from chromsym.engine import csf_cycle_chord, theta_scan_cells
+from chromsym.engine import csf_cycle_chord, scan_theta, theta_scan_cells
 from chromsym.graphs import Family, GraphSpec, build_graph, count_proper_colorings, render_graph_spec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -135,14 +136,36 @@ def test_csf_json_format(capsys):
 def test_csf_oracle_fallback(capsys):
     assert main(["csf", "theta:2,2,2", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["source"] == "transfer"
+    assert data["source"] == "oracle"
     assert data["csf"]["terms"][0] == [[5], 35]
 
 
+def test_csf_and_scan_take_the_oracle_on_a_built_graph(monkeypatch, capsys):
+    # the benchmark's tracer wraps these names, so every transfer must
+    # pass through them: one graph and one oracle call per scan cell
+    calls = {"csf_oracle": 0, "theta_graph": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    oracle = counting("csf_oracle", engine.csf_oracle)
+    monkeypatch.setattr(engine, "csf_oracle", oracle)
+    monkeypatch.setattr(cli, "csf_oracle", oracle)
+    monkeypatch.setattr(engine, "theta_graph", counting("theta_graph", engine.theta_graph))
+    cells = len(list(scan_theta(7)))
+    assert calls == {"csf_oracle": cells, "theta_graph": cells}
+    calls["csf_oracle"] = 0
+    assert main(["csf", "theta:3,3,2"]) == 0
+    capsys.readouterr()
+    assert calls["csf_oracle"] == 1
+
+
 def test_csf_multipath_transfer_keeps_the_state_budget(monkeypatch, capsys):
-    # the paths go straight into the oracle's chain transfer, so its
-    # budget holds for them: theta:3,3,2 peaks at 17 live terms, after
-    # its second chain
+    # the oracle's budget holds for a theta graph, whose paths are its
+    # chains: theta:3,3,2 peaks at 17 live terms, after its second chain
     monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 16)
     assert main(["csf", "theta:3,3,2", "--format", "json"]) == 1
     captured = capsys.readouterr()
@@ -153,12 +176,12 @@ def test_csf_multipath_transfer_keeps_the_state_budget(monkeypatch, capsys):
     monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 17)
     assert main(["csf", "theta:3,3,2", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["source"] == "transfer"
+    assert data["source"] == "oracle"
     assert data["csf"]["terms"] == [
         [[7], 98], [[6, 1], 40], [[5, 2], 42], [[4, 3], 22],
         [[4, 2, 1], 6], [[3, 3, 1], 8], [[3, 2, 2], 6],
     ]
-    # and an edges spec, which takes the oracle by its graph
+    # and an edges spec
     monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 0)
     assert main(["csf", "edges:4;0-1,1-2,2-3,0-2", "--format", "json"]) == 1
     assert "oracle transfer capped at 0 live states" in capsys.readouterr().err

@@ -8,6 +8,7 @@ reference.py, by algebraic invariants (disjoint unions multiply) and,
 in test_acceptance, by the independent coloring counter.
 """
 
+import json
 import random
 import time
 
@@ -20,13 +21,11 @@ import chromsym.symfunc as symfunc
 from chromsym.engine import (
     ThetaScanRow,
     check_triple_deletion,
-    csf_chains,
     csf_cycle,
     csf_cycle_chord,
     csf_oracle,
     csf_path,
     csf_tadpole,
-    multipath_chains,
     scan_theta,
     theta_scan_cells,
     verify,
@@ -324,7 +323,9 @@ def test_chains_of_a_graph():
     # cycle's least vertex 5, and 9 (degree 0)
     g = Graph(10, ((0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (5, 6), (6, 7), (7, 8), (5, 8)))
     assert engine._graph_chains(g) == [(0, 0, 2), (0, 4, 1), (5, 5, 3)]
-    assert multipath_chains((3, 1, 2)) == (5, [(0, 1, 0), (0, 1, 1), (0, 1, 2)])
+    # a multipath graph's chains are its paths, shortest first
+    g = multipath_graph((3, 1, 2))
+    assert engine._graph_chains(g) == [(0, 1, 0), (0, 1, 1), (0, 1, 2)]
 
 
 # ---------------------------------------------------- multipath transfer
@@ -346,9 +347,8 @@ def multipath_lengths(draw):
 @settings(max_examples=80, deadline=None)
 @given(multipath_lengths())
 def test_multipath_transfer_matches_oracle(lengths):
-    # the lengths go straight in, with no graph built
-    x = csf_chains(*multipath_chains(lengths))
-    assert x == csf_by_edge_transfer(multipath_graph(lengths))
+    g = multipath_graph(lengths)
+    assert csf_oracle(g) == csf_by_edge_transfer(g)
 
 
 @pytest.mark.parametrize("cell", [(9, 8, 8), (11, 10, 5), (10, 9, 8)])
@@ -361,8 +361,9 @@ def test_multipath_transfer_covers_theta_cells():
     # every scan cell up to 16 vertices, across the change of the packed
     # keys' digit width from 4 to 5 bits at n = 16
     for a, b, c in theta_scan_cells(16):
-        x = csf_chains(*multipath_chains((a, b, c)))
-        assert x == csf_by_edge_transfer(theta_graph(a, b, c)), (a, b, c)
+        g = theta_graph(a, b, c)
+        x = csf_oracle(g)
+        assert x == csf_by_edge_transfer(g), (a, b, c)
         if c == 1:
             assert x == csf_cycle_chord(a, b), (a, b)
 
@@ -390,8 +391,6 @@ def test_transfer_and_conversion_share_one_arrangement_table(monkeypatch):
 
 def test_multipath_transfer_rejects_what_the_builder_rejects():
     for lengths in [(), (3, 0), (1, 1, 2)]:
-        with pytest.raises(ValueError):
-            multipath_chains(lengths)
         with pytest.raises(ValueError):
             multipath_graph(lengths)
 
@@ -526,6 +525,28 @@ def test_scan_row_json_round_trip():
     assert ThetaScanRow.from_json(row.to_json()) == row
     with pytest.raises(ValueError):
         ThetaScanRow.from_json('{"schema": 99}')
+
+
+@pytest.mark.parametrize("field, value", [
+    ("a", "4"),
+    ("c", True),
+    ("min_coeff", 7.0),
+    ("min_coeff_shape", [4, 3, "1"]),
+    ("min_coeff_shape", "431"),
+    ("e_positive", "no"),
+    ("e_positive", 1),
+    ("n", 40),
+    ("min_coeff_shape", [4, 3, 2]),
+    ("e_positive", False),
+    ("min_coeff", -7),
+    ("min_coeff", 0),
+])
+def test_scan_row_rejects_what_no_scan_writes(field, value):
+    # wrong types, a vertex count or shape that does not fit the cell,
+    # and a verdict that contradicts the minimal coefficient
+    data = json.loads(ThetaScanRow(4, 3, 2, 8, True, 7, (4, 3, 1)).to_json())
+    with pytest.raises(ValueError):
+        ThetaScanRow.from_json(json.dumps({**data, field: value}))
 
 
 def test_scan_checkpoint_resume(tmp_path):
