@@ -8,7 +8,6 @@ the same with parts weakly decreasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 Composition = tuple[int, ...]
@@ -178,8 +177,7 @@ def chord_weight(comp: Composition, b: int) -> int:
     return e2_sym((ip - s,) + comp[p:q] + (t,))
 
 
-@dataclass(frozen=True)
-class SegmentDissection:
+class SegmentDissection(NamedTuple):
     """The interval (0, n + i_1] tiled by segments of lengths i_1, i_2,
     ..., i_z, i_1, together with the window (b, b + i_1].
 

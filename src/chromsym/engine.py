@@ -25,9 +25,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from itertools import accumulate
-from typing import Callable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .compositions import (
     Composition,
@@ -256,13 +254,27 @@ def _cut_terms(sizes, slots, r: int, free, base: int, w: int) -> dict[int, int]:
     return terms
 
 
-def _partition_counts(top: int) -> list[int]:
-    """p(0), ..., p(top): the number of partitions of each size."""
-    counts = [1] + [0] * top
-    for part in range(1, top + 1):
-        for total in range(part, top + 1):
-            counts[total] += counts[total - part]
-    return counts
+def _table_sizes(top: int) -> list[int]:
+    """p(0) + ... + p(r), the partitions of up to r vertices, for r = 0
+    up to top or up to the first r whose total passes _CHAIN_MAX_TABLE,
+    whichever comes first.  Each p(r) follows from the ones before by
+    Euler's pentagonal number recurrence, so a refusal costs no more
+    than the sizes below the cap."""
+    counts = [1]
+    totals = [1]
+    while len(counts) <= top and totals[-1] <= _CHAIN_MAX_TABLE:
+        r = len(counts)
+        p = 0
+        j = 1
+        while j * (3 * j - 1) // 2 <= r:
+            sign = 1 if j % 2 else -1
+            for gap in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if gap <= r:
+                    p += sign * counts[r - gap]
+            j += 1
+        counts.append(p)
+        totals.append(totals[-1] + p)
+    return totals
 
 
 def _refuse(idx: int, chains: int, made: int) -> NoReturn:
@@ -304,12 +316,13 @@ def csf_chains(n: int, chains: Sequence[Chain]) -> SymFunc:
     for idx, (u, v, _) in enumerate(chains):
         last[u] = last[v] = idx
     interior = [r for _, _, r in chains]
-    tables = list(accumulate(_partition_counts(max(interior, default=0))))
+    tables = _table_sizes(max(interior, default=0))
     for idx, r in enumerate(interior):
-        if tables[r] > _CHAIN_MAX_TABLE:
+        if r >= len(tables) or tables[r] > _CHAIN_MAX_TABLE:
+            needs = f"{tables[r]}" if r < len(tables) else f"more than {tables[-1]}"
             raise ResourceLimitError(
                 f"oracle transfer capped at {_CHAIN_MAX_TABLE} partitions in a chain's "
-                f"free middles, chain {idx + 1} of {len(chains)} needs {tables[r]}"
+                f"free middles, chain {idx + 1} of {len(chains)} needs {needs}"
             )
     free = [_packed(_signed_arrangements(r), w) for r in range(len(tables))]
     budget = _ORACLE_MAX_STATES
@@ -417,8 +430,7 @@ def closed_formula(spec: GraphSpec) -> SymFunc | None:
     return globals()[name](*args)  # by name, so a rebound csf_* global runs
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Everything verify() learned about one graph.
 
     formula is None when no closed form covers the family; equal is
@@ -513,8 +525,7 @@ def check_triple_deletion(graph: Graph, v1: int, v2: int, v3: int) -> bool:
 SCAN_SCHEMA = 1
 
 
-@dataclass(frozen=True)
-class ThetaScanRow:
+class ThetaScanRow(NamedTuple):
     """One scanned theta graph: path lengths a >= b >= c, vertex count,
     and the e-positivity verdict with the minimal coefficient seen."""
 

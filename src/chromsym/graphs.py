@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .compositions import Partition, dominance_leq, partitions
 
@@ -31,24 +30,27 @@ def _normalize_edge(e) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable simple graph on vertices 0..n-1."""
-
+class _GraphFields(NamedTuple):
     n: int
     edges: tuple[Edge, ...]
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n={self.n}")
-        norm = sorted(_normalize_edge(e) for e in self.edges)
+
+class Graph(_GraphFields):
+    """Immutable simple graph on vertices 0..n-1."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, edges: Iterable[Edge]) -> Graph:
+        if n < 1:
+            raise ValueError(f"graph needs at least one vertex, got n={n}")
+        norm = sorted(_normalize_edge(e) for e in edges)
         for u, v in norm:
-            if not 0 <= u < v < self.n:
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+            if not 0 <= u < v < n:
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         for a, b in zip(norm, norm[1:]):
             if a == b:
                 raise ValueError(f"duplicate edge {a}")
-        object.__setattr__(self, "edges", tuple(norm))
+        return super().__new__(cls, n, tuple(norm))
 
     @property
     def m(self) -> int:
@@ -159,8 +161,13 @@ class Family(Enum):
 Params = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class _GraphSpecFields(NamedTuple):
+    family: Family
+    params: Params
+    edge_list: tuple[Edge, ...]
+
+
+class GraphSpec(_GraphSpecFields):
     """Parsed description of a graph: a family plus its parameters,
     checked against the family's arity on construction.
 
@@ -169,26 +176,24 @@ class GraphSpec:
     weakly decreasing order so equal descriptions compare equal.
     """
 
-    family: Family
-    params: Params
-    edge_list: tuple[Edge, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        row = FAMILIES[self.family]
-        if row.arity not in (None, len(self.params)):
-            raise ValueError(f"{self.family.value} takes {row.arity} "
-                             f"parameter(s), got {len(self.params)}")
+    def __new__(cls, family: Family, params: Params,
+                edge_list: tuple[Edge, ...] = ()) -> GraphSpec:
+        row = FAMILIES[family]
+        if row.arity not in (None, len(params)):
+            raise ValueError(f"{family.value} takes {row.arity} "
+                             f"parameter(s), got {len(params)}")
         if row.path_lengths:
-            object.__setattr__(self, "params", tuple(sorted(self.params, reverse=True)))
-        if self.edge_list:
+            params = tuple(sorted(params, reverse=True))
+        if edge_list:
             if not row.explicit_edges:
                 raise ValueError("explicit edges only make sense for the edges family")
-            edges = tuple(sorted(_normalize_edge(e) for e in self.edge_list))
-            object.__setattr__(self, "edge_list", edges)
+            edge_list = tuple(sorted(_normalize_edge(e) for e in edge_list))
+        return super().__new__(cls, family, params, edge_list)
 
 
-@dataclass(frozen=True)
-class FamilyRow:
+class FamilyRow(NamedTuple):
     """Everything the package knows about one family keyword.
 
     arity is None when variadic.  formula gives the name of the engine's
@@ -248,7 +253,7 @@ FAMILIES: dict[Family, FamilyRow] = {
     Family.CYCLE: FamilyRow(1, _spread(cycle_graph), lambda p: ("csf_cycle", p), _proved),
     Family.TADPOLE: FamilyRow(2, _spread(tadpole_graph), lambda p: ("csf_tadpole", p), _proved),
     Family.CYCLE_CHORD: FamilyRow(2, _spread(cycle_chord_graph), _chord_formula, _proved),
-    Family.THETA: replace(_MULTIPATH, arity=3),
+    Family.THETA: _MULTIPATH._replace(arity=3),
     Family.MULTIPATH: _MULTIPATH,
     Family.EDGES: FamilyRow(1, lambda spec: Graph(spec.params[0], spec.edge_list),
                             lambda p: None, lambda p: False, explicit_edges=True),
@@ -270,55 +275,81 @@ def render_graph_spec(spec: GraphSpec) -> str:
 # ------------------------------------------------------------- colorings
 
 # Total edge count over the minors one call keeps in its memo, which
-# bounds both the memo's memory and the deletion-contraction work.
-# path:500 holds 124 750, cycle:500 374 247 and K16 7 260, while
-# path:1200 would need 719 400.
+# bounds both the memo's memory and the work.  path:500 holds 124 750,
+# cycle:500 186 999 and K16 6 686, while path:1200 would need 719 400.
 _CHROM_MAX_MEMO = 500_000
 
 
-def _poly_sub(pa: tuple[int, ...], pb: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in itertools.zip_longest(pa, pb, fillvalue=0))
-
-
-def _kernel_form(n: int, edges: tuple[Edge, ...]):
-    """Isolated-vertex count and the memo key of the rest, relabeled by
-    first appearance; the key is None when no edge is left."""
-    if not edges:
-        return n, None
+def _kernel_form(n: int, edges: Iterable[Edge]):
+    """Isolated-vertex count and the memo key of the rest, relabeled in
+    vertex order; the key is None when no edge is left."""
     used = sorted({v for e in edges for v in e})
+    if not used:
+        return n, None
     relabel = {v: i for i, v in enumerate(used)}
     kernel_edges = tuple(sorted(_normalize_edge((relabel[u], relabel[v])) for u, v in edges))
     return n - len(used), (len(used), kernel_edges)
 
 
-def _minors(key):
-    """Kernel forms of the graph with its first edge deleted and with
-    that edge contracted."""
-    n, edges = key
-    u, v = edges[0]
-    merged = set()
-    for a, b in edges[1:]:
+def _identified(edges: Iterable[Edge], u: int, v: int) -> set[Edge]:
+    """The edges with v merged into u, dropping the loop and repeats."""
+    out = set()
+    for a, b in edges:
         if a == v:
             a = u
         if b == v:
             b = u
         if a != b:
-            merged.add(_normalize_edge((a, b)))
-    shifted = tuple(sorted((a - (a > v), b - (b > v)) for a, b in merged))
-    return _kernel_form(n, edges[1:]), _kernel_form(n - 1, shifted)
+            out.add(_normalize_edge((a, b)))
+    return out
+
+
+def _minors(key):
+    """The terms a kernel's polynomial is the sum of: pairs of a factor,
+    its coefficients in k from the constant up, and a kernel form.
+
+    A vertex v of least degree picks the rule (Read, J. Combin. Theory
+    4, 1968).  Degree 1 gives (k - 1) P(G - v).  Degree 2, with
+    neighbours u and w, gives (k - 2) P(G - v), plus P((G - v) / uw)
+    when u and w are not adjacent.  Otherwise the first edge is deleted
+    and contracted: P(G - e) - P(G / e).
+    """
+    n, edges = key
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    least = min(degree)
+    if least > 2:
+        u, v = edges[0]
+        rest = edges[1:]
+        contracted = _kernel_form(n - 1, _identified(rest, u, v))
+        return ((1,), _kernel_form(n, rest)), ((-1,), contracted)
+    x = degree.index(least)
+    rest = [e for e in edges if x not in e]
+    removed = ((-least, 1), _kernel_form(n - 1, rest))
+    if least == 1:
+        return (removed,)
+    # the edges are sorted, so u < w
+    u, w = (a + b - x for a, b in edges if x in (a, b))
+    if (u, w) in rest:
+        return (removed,)
+    return removed, ((1,), _kernel_form(n - 2, _identified(rest, u, w)))
 
 
 @functools.lru_cache(maxsize=1)
 def chromatic_polynomial(graph: Graph) -> tuple[int, ...]:
     """Exact power-basis coefficients, index i giving the k**i term.
 
-    Deletion-contraction over the minors met in this call, memoized in
-    a dict that lives for the call and driven by an explicit stack so
-    long paths do not hit the interpreter's recursion limit.  The call
-    raises ResourceLimitError once the minors in its memo would hold
-    more than _CHROM_MAX_MEMO edges in total; a graph with more edges
-    than that is refused before any minor is formed.  The last result
-    is kept, so evaluating one graph at k = 0..n builds it once.
+    Built over the minors met in this call by the pendant and degree-2
+    vertex rules, falling back to deletion-contraction where every
+    vertex has degree 3 or more (see _minors).  The minors are memoized
+    in a dict that lives for the call and driven by an explicit stack
+    so long paths do not hit the interpreter's recursion limit.  The
+    call raises ResourceLimitError once the minors in its memo would
+    hold more than _CHROM_MAX_MEMO edges in total; a graph with more
+    edges than that is refused before any minor is formed.  The last
+    result is kept, so evaluating one graph at k = 0..n builds it once.
     """
     if graph.m > _CHROM_MAX_MEMO:
         raise ResourceLimitError(
@@ -347,16 +378,23 @@ def chromatic_polynomial(graph: Graph) -> tuple[int, ...]:
                 )
             minors = _minors(key)
             stack.append((key, minors))
-            stack.extend((k, None) for _, k in minors)
+            stack.extend((k, None) for _, (_, k) in minors)
         else:
-            memo[key] = _poly_sub(*map(padded, minors))
+            poly = [0] * (key[0] + 1)
+            for factor, form in minors:
+                child = padded(form)
+                for i, a in enumerate(factor):
+                    for j, b in enumerate(child, i):
+                        poly[j] += a * b
+            memo[key] = tuple(poly)
     return padded(top)
 
 
 def count_proper_colorings(graph: Graph, k: int) -> int:
     """Number of maps from vertices to k colors with no monochromatic
-    edge.  Computed by deletion-contraction, independently of any
-    symmetric-function machinery."""
+    edge: the chromatic polynomial evaluated at k by Horner's rule.
+    Computed by the vertex rules and deletion-contraction, independently
+    of any symmetric-function machinery."""
     if not isinstance(k, int) or isinstance(k, bool):
         raise TypeError(f"color count must be int, got {k!r}")
     if k < 0:

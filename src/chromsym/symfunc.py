@@ -14,11 +14,10 @@ a multiplicity is at most the degree, which is below 2**w.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from math import comb, factorial
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .compositions import Partition, partitions
 
@@ -316,8 +315,7 @@ def p_to_e(f: SymFunc) -> SymFunc:
 
 # ------------------------------------------------------------ positivity
 
-@dataclass(frozen=True)
-class EPositivityReport:
+class EPositivityReport(NamedTuple):
     """Outcome of an elementary-basis positivity check.
 
     witnesses lists the strictly negative terms in canonical term

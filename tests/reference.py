@@ -5,7 +5,8 @@ the production code: the compositions decoded from their cut
 bitmasks, the signed chord weight, the segment picture of the chord
 weight, Newton's recurrence for the power sums, Stanley's edge-subset
 sum one subset at a time and carried edge by edge, products by sorting
-joined partitions, and so on.
+joined partitions, the chromatic polynomial by deletion-contraction
+alone, and so on.
 They exist only to cross-check the package, so they live beside the
 tests and not in it.  The file name does not start with test_, so
 pytest imports it without collecting it.
@@ -274,6 +275,31 @@ def csf_by_edge_transfer(graph: Graph) -> SymFunc:
     # every vertex has retired, so the packed multiset alone keys a state
     acc = {_unpack(packed, bits): count for (_, _, packed), count in states.items()}
     return p_to_e(SymFunc._trusted(Basis.POWERSUM, acc))
+
+
+def chromatic_polynomial_by_deletion_contraction(graph: Graph) -> tuple[int, ...]:
+    """Coefficients of k**0, k**1, ..., k**n by P(G) = P(G - e) - P(G / e)
+    on the lowest edge alone, down to k**(vertex count) on no edges;
+    minors are memoized by their vertex count and edge set, with the
+    contracted edge's higher end merged into its lower."""
+    memo: dict[tuple[int, frozenset[Edge]], tuple[int, ...]] = {}
+
+    def poly(n: int, edges: frozenset[Edge]) -> tuple[int, ...]:
+        if not edges:
+            return (0,) * n + (1,)
+        key = (n, edges)
+        if key not in memo:
+            u, v = min(edges)
+            rest = edges - {(u, v)}
+            merged = frozenset(
+                _normalize_edge((u if a == v else a, u if b == v else b)) for a, b in rest
+            )
+            deleted, contracted = poly(n, rest), poly(n - 1, merged)
+            memo[key] = tuple(d - (contracted[i] if i < len(contracted) else 0)
+                              for i, d in enumerate(deleted))
+        return memo[key]
+
+    return poly(graph.n, frozenset(graph.edges))
 
 
 def component_partition(graph: Graph, subset: Sequence[Edge]) -> Partition:

@@ -351,6 +351,18 @@ def test_closed_formula_size_bound_exits_one(spec, n):
     assert capped.stderr.count("\n") == 1 and f"graph has {n}" in capped.stderr
 
 
+def test_long_chain_table_bound_exits_one():
+    # the free-middle tables are counted only up to the first size past
+    # the cap, not for all 29 999 inner vertices of a chain
+    capped = run_module("csf", "theta:30000,30000,30000", capture_output=True, timeout=20)
+    assert capped.returncode == 1
+    assert capped.stdout == ""
+    assert capped.stderr == (
+        "error: oracle transfer capped at 500000 partitions in a chain's free middles, "
+        "chain 1 of 3 needs more than 540635\n"
+    )
+
+
 def test_closed_formula_below_the_bound_still_runs(capsys):
     assert main(["csf", "path:20"]) == 0
     assert capsys.readouterr().out.startswith("20e_{20} + 18e_{19,1} + ")
@@ -520,13 +532,13 @@ def test_chrompoly_long_paths_never_trace_back():
 
 
 def test_chrompoly_minor_budget_is_a_resource_bound():
-    # the minors of a dense irregular graph would hold 842 486 edges,
-    # past the memo budget; a long cycle (374 247) and K16 (7 260) stay
-    # inside it
+    # the minors of a dense irregular graph, G(16, 1/2), would hold more
+    # edges than the memo budget; a long cycle (186 999) and K16 (6 686)
+    # stay inside it
     rng = random.Random(1)
-    dense = ",".join(f"{u}-{v}" for u, v in itertools.combinations(range(14), 2)
+    dense = ",".join(f"{u}-{v}" for u, v in itertools.combinations(range(16), 2)
                      if rng.random() < 0.5)
-    capped = run_module("chrompoly", f"edges:14;{dense}", capture_output=True)
+    capped = run_module("chrompoly", f"edges:16;{dense}", capture_output=True)
     assert "Traceback" not in capped.stderr
     assert capped.returncode == 1
     assert capped.stderr.startswith("error: ") and capped.stderr.count("\n") == 1
@@ -573,18 +585,27 @@ def test_closed_stdout_is_not_a_traceback():
     assert proc.returncode == 1
 
 
-def test_cli_import_leaves_the_process_pool_out():
-    # only a parallel scan needs worker processes, so starting the CLI
-    # pays nothing for them
-    code = (
-        "import sys, chromsym.cli; "
-        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
-    )
+def loaded_by_cli_import(*modules: str) -> str:
+    """Which of the named modules a fresh interpreter holds after
+    importing chromsym.cli, as the printed sorted list."""
+    code = f"import sys, chromsym.cli; print(sorted({set(modules)!r} & set(sys.modules)))"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0
-    assert proc.stdout == "[]\n"
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only a parallel scan needs worker processes, so starting the CLI
+    # pays nothing for them
+    assert loaded_by_cli_import("concurrent.futures", "multiprocessing") == "[]\n"
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # the value types are named tuples, so start-up never pays for
+    # dataclasses and the inspect, ast and dis modules it loads
+    assert loaded_by_cli_import("dataclasses", "inspect") == "[]\n"
 
 
 def test_installed_script_runs():

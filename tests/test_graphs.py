@@ -9,10 +9,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chromsym.graphs as graphs
-from chromsym.compositions import partitions
-from chromsym.engine import verify
+from chromsym.compositions import partitions, segment_dissection
+from chromsym.engine import ThetaScanRow, verify
 from chromsym.graphs import (
     Family,
     Graph,
@@ -32,7 +34,7 @@ from chromsym.graphs import (
     theta_graph,
     triple_split_graphs,
 )
-from reference import component_partition
+from reference import chromatic_polynomial_by_deletion_contraction, component_partition
 
 
 # ---------------------------------------------------------------- oracles
@@ -183,6 +185,25 @@ def test_render_graph_spec():
     assert render_graph_spec(spec) == "edges:4;0-1,2-3"
 
 
+def test_value_types_are_immutable():
+    spec = GraphSpec(Family.THETA, (2, 2, 2))
+    report = verify(spec)
+    values = [
+        (build_graph(spec), "n"),
+        (spec, "params"),
+        (graphs.FAMILIES[Family.THETA], "arity"),
+        (report, "formula"),
+        (report.e_positivity, "positive"),
+        (segment_dissection((2, 2), 1), "window"),
+        (ThetaScanRow(4, 3, 2, 8, True, 7, (4, 3, 1)), "min_coeff"),
+    ]
+    for value, field in values:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+
 def test_graph_spec_rejects_stray_edges():
     with pytest.raises(ValueError):
         GraphSpec(Family.PATH, (4,), ((0, 1),))
@@ -327,6 +348,34 @@ def test_verify_builds_the_chromatic_polynomial_once(monkeypatch):
     chromatic_polynomial.cache_clear()
     assert verify(spec).passed
     assert calls == once > 0
+
+
+@st.composite
+def graphs_for_every_rule(draw):
+    """A random core on up to six vertices, grown to at most 9 by
+    pendant vertices (degree 1) and by subdividing edges (degree 2,
+    neighbours not adjacent); the core's triangles give degree-2
+    vertices with adjacent neighbours, and its dense parts vertices of
+    degree 3 or more."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    while n < 9 and draw(st.booleans()):
+        if edges and draw(st.booleans()):
+            u, v = edges.pop(draw(st.integers(0, len(edges) - 1)))
+            edges += [(u, n), (n, v)]
+        else:
+            edges.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    return Graph(n, tuple(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_for_every_rule())
+def test_vertex_rules_match_deletion_contraction(g):
+    assert chromatic_polynomial(g) == chromatic_polynomial_by_deletion_contraction(g)
+    for k in range(4):
+        assert count_proper_colorings(g, k) == brute_color_count(g, k)
 
 
 def test_count_is_monotone_polynomial_of_degree_n():
