@@ -26,7 +26,6 @@ from .compositions import (
 from .engine import (
     ThetaScanRow,
     VerificationReport,
-    check_triple_deletion,
     closed_formula,
     csf_cycle,
     csf_cycle_chord,
@@ -54,7 +53,6 @@ from .graphs import (
     stable_partition_types,
     tadpole_graph,
     theta_graph,
-    triple_split_graphs,
 )
 from .symfunc import (
     Basis,

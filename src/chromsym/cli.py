@@ -128,8 +128,10 @@ def _render_csf(x: SymFunc, fmt: str) -> str:
 
 def cmd_csf(args) -> int:
     spec = parse_graph_spec(args.graph)
-    graph = build_graph(spec)
+    # a size the formulas refuse exits before the graph is built; the
+    # build still runs, since it rejects specs the formulas accept
     x = closed_formula(spec)
+    graph = build_graph(spec)
     source = "formula"
     if x is None:
         x = csf_oracle(graph)

@@ -14,8 +14,10 @@ the transfer makes rather than by the edge count.  verify, csf without
 a closed formula, and every theta scan cell all reach the transfer
 through csf_oracle on a built graph.  The oracle shares no code path
 with the formulas; it shares only p_to_e, its packed partition keys,
-and the signed arrangement counts behind both, which the tests check
-against Newton's recurrence.
+and symfunc's per-width table of signed arrangement counts, which the
+transfer reads for its free middles and p_to_e scales into the images
+of the power sums; the tests check those images against Newton's
+recurrence.
 """
 
 from __future__ import annotations
@@ -44,14 +46,12 @@ from .graphs import (
     build_graph,
     count_proper_colorings,
     theta_graph,
-    triple_split_graphs,
 )
 from .symfunc import (
     Basis,
     EPositivityReport,
     SymFunc,
-    _packed,
-    _signed_arrangements,
+    _arrangement_table,
     _unpacked,
     _width,
     is_e_positive,
@@ -67,10 +67,10 @@ _ORACLE_MAX_STATES = 500_000
 
 # Partitions in the free-middle tables one chain needs: every partition
 # of up to r vertices for r inner vertices, as many as the live states
-# of a walk along the chain one edge at a time.  The tables are built
-# once per process and shared with p_to_e.  500 000 allows chains of up
-# to 44 inner vertices (451 501 partitions, about 5 s to build on a
-# 2-CPU host); 45 would need 540 635.
+# of a walk along the chain one edge at a time.  The table is built
+# once per process and digit width and shared with p_to_e.  500 000
+# allows chains of up to 44 inner vertices (451 501 partitions, about
+# 1 s to build on a 2-CPU host); 45 would need 540 635.
 _CHAIN_MAX_TABLE = 500_000
 
 # The formulas visit all 2**(n-1) compositions of n; at n = 26 that is
@@ -299,15 +299,15 @@ def csf_chains(n: int, chains: Sequence[Chain]) -> SymFunc:
     above them, at the slot of its first live vertex.  A chain of r
     interior vertices is kept whole, merging its ends' blocks with sign
     (-1)**(r + 1), or cut: t vertices attach to the ends and the free
-    middle closes as _signed_arrangements(r - t), the path's expansion
-    (Stanley 1995, Thm 2.5).  Each way changes a key by an offset that
-    depends only on the end blocks' sizes, so a step folds them, and the
-    closing of blocks left with no live vertex, into one cached
-    polynomial per target labels and sizes.  The work follows the live
-    terms, so the call refuses once a step has made more than
-    _ORACLE_MAX_STATES of them, counted as they are made; before any
-    step, it refuses a chain whose free middles need more than
-    _CHAIN_MAX_TABLE partitions.
+    middle closes as the path's expansion A_(r - t) (Stanley 1995,
+    Thm 2.5), read from symfunc's arrangement table at width w.  Each
+    way changes a key by an offset that depends only on the end blocks'
+    sizes, so a step folds them, and the closing of blocks left with no
+    live vertex, into one cached polynomial per target labels and
+    sizes.  The work follows the live terms, so the call refuses once
+    a step has made more than _ORACLE_MAX_STATES of them, counted as
+    they are made; before any step, it refuses a chain whose free
+    middles need more than _CHAIN_MAX_TABLE partitions.
     """
     w = _width(n)
     base = n * w
@@ -324,7 +324,7 @@ def csf_chains(n: int, chains: Sequence[Chain]) -> SymFunc:
                 f"oracle transfer capped at {_CHAIN_MAX_TABLE} partitions in a chain's "
                 f"free middles, chain {idx + 1} of {len(chains)} needs {needs}"
             )
-    free = [_packed(_signed_arrangements(r), w) for r in range(len(tables))]
+    free = _arrangement_table(w, len(tables) - 1)
     budget = _ORACLE_MAX_STATES
     slot_of: dict[int, int] = {}
     spare: list[int] = []
@@ -464,16 +464,17 @@ def verify(spec: GraphSpec) -> VerificationReport:
     """Compute a graph's function by every route available and compare.
 
     Evaluates the closed formula first when the family has one, so a
-    size the formulas refuse stops the run before the oracle starts;
+    size the formulas refuse stops the run before the graph is built;
     then always runs the edge-subset oracle, and checks the principal
     specialization against the independent coloring count at k = 0..n.
     """
-    graph = build_graph(spec)
     timings: dict[str, float] = {}
 
     start = time.perf_counter()
     formula = closed_formula(spec)
     timings["formula"] = time.perf_counter() - start
+
+    graph = build_graph(spec)
 
     start = time.perf_counter()
     oracle = csf_oracle(graph)
@@ -498,26 +499,6 @@ def verify(spec: GraphSpec) -> VerificationReport:
         colorings_match=colorings_match,
         timings=timings,
     )
-
-
-def check_triple_deletion(graph: Graph, v1: int, v2: int, v3: int) -> bool:
-    """Check the two three-edge deletion identities on a base graph
-    with three pairwise non-adjacent vertices.
-
-    With subscripts naming which of the edges v1v2, v1v3, v2v3 are
-    added: X_{12} = X_1 + X_{23} - X_3 and X_{123} = X_{13} + X_{23}
-    - X_3.
-    """
-    split = triple_split_graphs(graph, v1, v2, v3)
-
-    def x(*which: int) -> SymFunc:
-        return csf_oracle(split[frozenset(which)])
-
-    x3 = x(3)
-    x23 = x(2, 3)
-    first = x(1, 2) == x(1) + x23 - x3
-    second = x(1, 2, 3) == x(1, 3) + x23 - x3
-    return first and second
 
 
 # ------------------------------------------------------------ theta scan

@@ -8,7 +8,6 @@ normalized to (min, max), so structurally equal graphs compare equal.
 from __future__ import annotations
 
 import functools
-import itertools
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple
 
@@ -493,28 +492,3 @@ def is_nice(graph: Graph) -> tuple[bool, tuple[Partition, Partition] | None]:
             if mu not in attained and dominance_leq(mu, lam):
                 return (False, (lam, mu))
     return (True, None)
-
-
-# --------------------------------------------------------- triple linking
-
-def triple_split_graphs(graph: Graph, v1: int, v2: int, v3: int) -> dict[frozenset, Graph]:
-    """The eight graphs made by adding any subset of the three edges
-    v1v2, v1v3, v2v3 between pairwise non-adjacent vertices.
-
-    Keys are frozensets over {1, 2, 3} naming which of the three edges
-    (in that order) are present.
-    """
-    trio = (v1, v2, v3)
-    if len(set(trio)) != 3:
-        raise ValueError(f"need three distinct vertices, got {trio}")
-    present = set(graph.edges)
-    links = {1: (v1, v2), 2: (v1, v3), 3: (v2, v3)}
-    for e in links.values():
-        if _normalize_edge(e) in present:
-            raise ValueError(f"vertices {e} are already adjacent")
-    out = {}
-    for r in range(4):
-        for chosen in itertools.combinations((1, 2, 3), r):
-            extra = tuple(links[i] for i in chosen)
-            out[frozenset(chosen)] = Graph(graph.n, graph.edges + extra)
-    return out

@@ -13,13 +13,12 @@ a multiplicity is at most the degree, which is below 2**w.
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
-from math import comb, factorial
+from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .compositions import Partition, partitions
+from .compositions import Partition
 
 
 class Basis(Enum):
@@ -222,95 +221,98 @@ def _multiply_into(
 
 # ------------------------------------------------------- basis conversion
 
-# Per-process caches, keyed by degree, so their size is bounded by the
-# largest degree seen.  Nothing is cached per partition: p_to_e groups
-# its input by largest part, so each p_m image is multiplied in once
-# per group rather than once per input partition.
-_ARRANGEMENTS: dict[int, Mapping[Partition, int]] = {}
-_POWER_IMAGE: dict[int, SymFunc] = {}
+# Per-process tables on packed keys, one pair per digit width w: the
+# signed arrangement counts A_0, A_1, ... and the elementary images of
+# the power sums p_0, p_1, ....  A_r holds every partition of r, so a
+# table grows only as far as a caller asks: p_to_e asks up to the
+# largest part of its input, not up to its degree.
+_TABLES: dict[int, tuple[list[dict[int, int]], list[dict[int, int]]]] = {}
 
 
-def _signed_arrangements(r: int) -> Mapping[Partition, int]:
-    """mu -> (-1)**(r - l(mu)) * l(mu)! / prod m_i(mu)! for every
-    partition mu of r: the signed number of compositions of r that
+def _arrangement_table(w: int, top: int) -> list[dict[int, int]]:
+    """A_0, ..., A_top (or more) at width w, for top below 2**w: A_r
+    maps the key of each partition mu of r to (-1)**(r - l(mu)) *
+    l(mu)! / prod m_i(mu)!, the signed number of compositions of r that
     rearrange mu's parts.
 
     It is the power-sum expansion of the path on r vertices (an edge
     subset leaving k components cuts the path into a composition of r
-    with k parts, with sign (-1)**(r - k)), and scaled by r / l(mu) it
-    is the elementary image of p_r.
+    with k parts, with sign (-1)**(r - k)).  Taking the compositions by
+    their first part j gives A_r = sum over j of (-1)**(j - 1) times
+    A_(r - j) with one part j added to every key.
     """
-    cached = _ARRANGEMENTS.get(r)
-    if cached is None:
-        terms = {}
-        for mu in partitions(r):
-            count = factorial(len(mu))
-            for multiplicity in Counter(mu).values():
-                count //= factorial(multiplicity)
-            terms[mu] = (-1) ** (r - len(mu)) * count
-        cached = _ARRANGEMENTS[r] = MappingProxyType(terms)
-    return cached
+    arrangements = _TABLES.setdefault(w, ([{0: 1}], [{0: 1}]))[0]
+    while len(arrangements) <= top:
+        r = len(arrangements)
+        out: dict[int, int] = {}
+        get = out.get
+        for j in range(1, r + 1):
+            part = 1 << (j - 1) * w
+            sign = 1 if j % 2 else -1
+            for key, c in arrangements[r - j].items():
+                key += part
+                out[key] = get(key, 0) + sign * c
+        arrangements.append(out)
+    return arrangements
 
 
-def _power_image(m: int) -> SymFunc:
-    """Elementary-basis image of the degree-m power sum, in closed form:
-    p_m = sum over mu of m with (-1)**(m - l(mu)) * m * (l(mu) - 1)!
-    / prod m_i(mu)! e_mu (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.2)."""
-    cached = _POWER_IMAGE.get(m)
-    if cached is None:
-        terms = {mu: m * c // len(mu) for mu, c in _signed_arrangements(m).items()}
-        cached = _POWER_IMAGE[m] = SymFunc._trusted(Basis.ELEMENTARY, terms)
-    return cached
-
-
-def _horner_split(terms: Mapping[int, int], w: int):
-    """The constant term of packed power-sum terms, and for each largest
-    part k the terms with one part k taken off, in first-seen order."""
-    out: dict[int, int] = {}
-    tails: dict[int, dict[int, int]] = {}
-    for key, c in terms.items():
-        if key:
-            k = (key.bit_length() - 1) // w + 1
-            tails.setdefault(k, {})[key - (1 << (k - 1) * w)] = c
-        else:
-            out[0] = c
-    return out, iter(tails.items())
-
-
-def _p_to_e_terms(terms: Mapping[int, int], w: int) -> dict[int, int]:
-    """Packed elementary terms of packed power-sum terms, by Horner
-    grouping on the top digit: f = c_() + sum over k of p_k * f_k, where
-    k is a key's largest part and f_k collects the keys less one part k,
-    converted the same way.  An explicit stack holds one frame per
-    removed part, so a term with thousands of parts stays off the
-    interpreter's recursion limit."""
-    images: dict[int, dict[int, int]] = {}
-    stack = [(0, *_horner_split(terms, w))]
-    while True:
-        k, out, tails = stack[-1]
-        tail = next(tails, None)
-        if tail is not None:
-            stack.append((tail[0], *_horner_split(tail[1], w)))
-            continue
-        stack.pop()
-        if not stack:
-            return out
-        image = images.get(k)
-        if image is None:
-            image = images[k] = _packed(_power_image(k)._terms, w)
-        _multiply_into(stack[-1][1], image, out)
+def _image_table(w: int, top: int) -> list[dict[int, int]]:
+    """Elementary images of p_0, ..., p_top (or more) at width w, for
+    top below 2**w, in closed form: p_k = sum over mu of k of
+    (k / l(mu)) * A_k(mu) e_mu (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.2).  l(mu) is the digit sum of mu's key, which is
+    the key modulo 2**w - 1, read as 2**w - 1 when that is 0, since
+    1 <= l(mu) <= k < 2**w."""
+    arrangements = _arrangement_table(w, top)
+    images = _TABLES[w][1]
+    digits = (1 << w) - 1
+    while len(images) <= top:
+        k = len(images)
+        images.append({
+            key: k * c // (key % digits or digits) for key, c in arrangements[k].items()
+        })
+    return images
 
 
 def p_to_e(f: SymFunc) -> SymFunc:
-    """Rewrite a power-sum-basis function in the elementary basis: pack
-    its terms, convert by Horner grouping on the largest part, and
-    unpack once."""
+    """Rewrite a power-sum-basis function in the elementary basis.
+
+    Horner's rule on the largest part: f = c_() + sum over k of p_k *
+    f_k, where f_k collects the terms with one part k taken off, each
+    converted the same way.  Walked in descending order, the terms
+    that share a prefix of parts come together, so one packed
+    e-accumulator per part of the current prefix suffices: when the
+    walk leaves a part k, its accumulator is multiplied by the image of
+    p_k into the one below.  The stack is explicit, so a term with
+    thousands of parts stays off the interpreter's recursion limit.
+    """
     if f.basis is not Basis.POWERSUM:
         raise ValueError("p_to_e expects a power-sum-basis input")
+    terms = sorted(f._terms.items(), reverse=True)
     w = _width(_degree(f._terms))
-    out = _p_to_e_terms(_packed(f._terms, w), w)
-    return SymFunc._trusted(Basis.ELEMENTARY, _unpacked(out, w))
+    # the first partition in descending order holds the largest part
+    images = _image_table(w, terms[0][0][0] if terms and terms[0][0] else 0)
+    prefix: list[int] = []
+    stack: list[dict[int, int]] = [{}]
+
+    def leave(depth: int) -> None:
+        while len(prefix) > depth:
+            acc = stack.pop()
+            _multiply_into(stack[-1], images[prefix.pop()], acc)
+
+    for lam, c in terms:
+        depth = 0
+        for have, part in zip(prefix, lam):
+            if have != part:
+                break
+            depth += 1
+        leave(depth)
+        for part in lam[depth:]:
+            prefix.append(part)
+            stack.append({})
+        stack[-1][0] = c  # what the walk folded in here has a part
+    leave(0)
+    return SymFunc._trusted(Basis.ELEMENTARY, _unpacked(stack[0], w))
 
 
 # ------------------------------------------------------------ positivity

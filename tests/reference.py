@@ -6,12 +6,14 @@ bitmasks, the signed chord weight, the segment picture of the chord
 weight, Newton's recurrence for the power sums, Stanley's edge-subset
 sum one subset at a time and carried edge by edge, products by sorting
 joined partitions, the chromatic polynomial by deletion-contraction
-alone, and so on.
+alone, and so on.  The three-edge deletion identities are here too:
+they are paper identities that only the tests check.
 They exist only to cross-check the package, so they live beside the
 tests and not in it.  The file name does not start with test_, so
 pytest imports it without collecting it.
 """
 
+import itertools
 from typing import Iterator, Mapping, Sequence
 
 from chromsym.compositions import (
@@ -22,7 +24,7 @@ from chromsym.compositions import (
     segment_dissection,
     surplus,
 )
-from chromsym.engine import _aggregate
+from chromsym.engine import _aggregate, csf_oracle
 from chromsym.graphs import Edge, Graph, _normalize_edge
 from chromsym.symfunc import Basis, SymFunc, _pack, _unpack, _width, monomial, p_to_e
 
@@ -358,3 +360,49 @@ def power_image_by_newton(m: int) -> SymFunc:
             image = image + step * power_image_by_newton(m - i)
     _NEWTON_IMAGE[m] = image
     return image
+
+
+# ------------------------------------------------------ triple deletion
+
+
+def triple_split_graphs(graph: Graph, v1: int, v2: int, v3: int) -> dict[frozenset, Graph]:
+    """The eight graphs made by adding any subset of the three edges
+    v1v2, v1v3, v2v3 between pairwise non-adjacent vertices.
+
+    Keys are frozensets over {1, 2, 3} naming which of the three edges
+    (in that order) are present.
+    """
+    trio = (v1, v2, v3)
+    if len(set(trio)) != 3:
+        raise ValueError(f"need three distinct vertices, got {trio}")
+    present = set(graph.edges)
+    links = {1: (v1, v2), 2: (v1, v3), 3: (v2, v3)}
+    for e in links.values():
+        if _normalize_edge(e) in present:
+            raise ValueError(f"vertices {e} are already adjacent")
+    out = {}
+    for r in range(4):
+        for chosen in itertools.combinations((1, 2, 3), r):
+            extra = tuple(links[i] for i in chosen)
+            out[frozenset(chosen)] = Graph(graph.n, graph.edges + extra)
+    return out
+
+
+def check_triple_deletion(graph: Graph, v1: int, v2: int, v3: int) -> bool:
+    """Check the two three-edge deletion identities on a base graph
+    with three pairwise non-adjacent vertices.
+
+    With subscripts naming which of the edges v1v2, v1v3, v2v3 are
+    added: X_{12} = X_1 + X_{23} - X_3 and X_{123} = X_{13} + X_{23}
+    - X_3.
+    """
+    split = triple_split_graphs(graph, v1, v2, v3)
+
+    def x(*which: int) -> SymFunc:
+        return csf_oracle(split[frozenset(which)])
+
+    x3 = x(3)
+    x23 = x(2, 3)
+    first = x(1, 2) == x(1) + x23 - x3
+    second = x(1, 2, 3) == x(1, 3) + x23 - x3
+    return first and second

@@ -18,7 +18,6 @@ from chromsym.compositions import (
     split_params,
 )
 from chromsym.engine import (
-    check_triple_deletion,
     csf_cycle,
     csf_cycle_chord,
     csf_oracle,
@@ -36,11 +35,17 @@ from chromsym.graphs import (
     stable_partition_types,
     tadpole_graph,
     theta_graph,
-    triple_split_graphs,
     is_nice,
 )
 from chromsym.symfunc import is_e_positive, principal_specialization
-from reference import chord_weight_by_segments, csf_cycle_chord_signed, deficiency, reverse
+from reference import (
+    check_triple_deletion,
+    chord_weight_by_segments,
+    csf_cycle_chord_signed,
+    deficiency,
+    reverse,
+    triple_split_graphs,
+)
 
 
 def _report(num: int, label: str, started: float, budget: float | None = None):

@@ -331,6 +331,25 @@ def test_verify_refuses_formula_sizes_before_the_oracle(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("argv, n", [
+    (["csf", "path:1000000"], 1000000),
+    (["csf", "glambda:1000000"], 1000001),
+    (["verify", "glambda:1000000"], 1000001),
+])
+def test_formula_refusal_comes_before_the_graph_is_built(argv, n, monkeypatch, capsys):
+    def build(spec):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(cli, "build_graph", build)
+    monkeypatch.setattr(engine, "build_graph", build)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: closed formulas capped at 26 vertices, graph has {n} (2**{n - 1} compositions)\n"
+    )
+
+
 @pytest.mark.parametrize("spec", [
     "theta:9,8,8",
     "edges:8;" + ",".join(f"{u}-{v}" for u, v in itertools.combinations(range(8), 2)),

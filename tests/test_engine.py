@@ -20,7 +20,6 @@ import chromsym.engine as engine
 import chromsym.symfunc as symfunc
 from chromsym.engine import (
     ThetaScanRow,
-    check_triple_deletion,
     csf_cycle,
     csf_cycle_chord,
     csf_oracle,
@@ -45,10 +44,12 @@ from chromsym.graphs import (
 from chromsym.symfunc import Basis, SymFunc, monomial, p_to_e, render_latex
 import reference
 from reference import (
+    check_triple_deletion,
     csf_by_edge_subsets,
     csf_by_edge_transfer,
     csf_cycle_chord_signed,
     signed_chord_weight,
+    triple_split_graphs,
 )
 
 
@@ -369,24 +370,29 @@ def test_multipath_transfer_covers_theta_cells():
 
 
 def test_free_path_power_sums_match_composition_formula():
+    w = symfunc._width(12)
+    table = symfunc._arrangement_table(w, 12)
     for r in range(1, 13):
-        assert p_to_e(SymFunc(Basis.POWERSUM, symfunc._signed_arrangements(r))) == csf_path(r)
+        path = SymFunc(Basis.POWERSUM, symfunc._unpacked(table[r], w))
+        assert p_to_e(path) == csf_path(r)
 
 
 def test_transfer_and_conversion_share_one_arrangement_table(monkeypatch):
     # a wrong entry planted in the shared table reaches both users, so a
     # second copy of the table cannot come back unnoticed; the
     # edge-by-edge reference reads no table, so it keeps the honest sum
-    table = symfunc._signed_arrangements(3)
     for module in engine, reference:  # keep both routes' p-basis sums
         monkeypatch.setattr(module, "p_to_e", lambda f: f)
     g = multipath_graph((4, 2, 2))
     assert csf_oracle(g) == csf_by_edge_transfer(g)
-    honest_image = symfunc._power_image(3)
-    monkeypatch.setattr(symfunc, "_ARRANGEMENTS", {3: {**table, (3,): table[(3,)] + 1}})
-    monkeypatch.setattr(symfunc, "_POWER_IMAGE", {})
+    w = symfunc._width(g.n)
+    table = symfunc._arrangement_table(w, 3)
+    honest_image = symfunc._image_table(w, 3)[3]
+    three = symfunc._pack((3,), w)
+    planted = [*table[:3], {**table[3], three: table[3][three] + 1}]
+    monkeypatch.setattr(symfunc, "_TABLES", {w: (planted, [{0: 1}])})
     assert csf_oracle(g) != csf_by_edge_transfer(g)
-    assert symfunc._power_image(3) != honest_image
+    assert symfunc._image_table(w, 3)[3] != honest_image
 
 
 def test_multipath_transfer_rejects_what_the_builder_rejects():
@@ -454,8 +460,6 @@ def test_triple_deletion_on_recurrence_instance():
     # first two edges builds the chorded cycle with arcs (3, 3)
     base = path_graph(6)
     assert check_triple_deletion(base, 0, 3, 5)
-    from chromsym.graphs import triple_split_graphs
-
     split = triple_split_graphs(base, 0, 3, 5)
     assert csf_oracle(split[frozenset({1, 2})]) == csf_cycle_chord(3, 3)
     assert csf_oracle(split[frozenset({1})]) == csf_tadpole(4, 2)

@@ -32,9 +32,12 @@ from chromsym.graphs import (
     stable_partition_types,
     tadpole_graph,
     theta_graph,
+)
+from reference import (
+    chromatic_polynomial_by_deletion_contraction,
+    component_partition,
     triple_split_graphs,
 )
-from reference import chromatic_polynomial_by_deletion_contraction, component_partition
 
 
 # ---------------------------------------------------------------- oracles

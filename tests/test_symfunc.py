@@ -1,9 +1,10 @@
 """Unit tests for the exact symmetric-function layer.
 
-The conversion p_to_e is checked three independent ways: frozen small
+The conversion p_to_e is checked four independent ways: frozen small
 images worked out by hand from the recurrence, numeric evaluation of
-both sides as honest polynomials at random points, and the principal
-specialization identities e_m -> comb(k, m), p_m -> k.
+both sides as honest polynomials at random points, the principal
+specialization identities e_m -> comb(k, m), p_m -> k, and products of
+the images that Newton's recurrence gives for each part.
 """
 
 import itertools
@@ -15,13 +16,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chromsym.symfunc as symfunc
 from chromsym.compositions import partitions
 from chromsym.symfunc import (
     _degree,
+    _image_table,
     _multiply_into,
     _pack,
     _packed,
-    _power_image,
     _unpack,
     _unpacked,
     _width,
@@ -232,9 +234,57 @@ def test_p_to_e_frozen_small_images():
     assert p_to_e(monomial(P, (), 4)) == monomial(E, (), 4)
 
 
-def test_power_image_matches_newton_recurrence():
-    for m in range(1, 23):
-        assert _power_image(m) == power_image_by_newton(m), m
+def test_power_image_matches_newton_recurrence(monkeypatch):
+    # fresh tables, built by the recurrence at the narrowest width that
+    # holds 22 and at a wider one
+    monkeypatch.setattr(symfunc, "_TABLES", {})
+    for w in (5, 7):
+        images = _image_table(w, 22)
+        for m in range(1, 23):
+            assert SymFunc(E, _unpacked(images[m], w)) == power_image_by_newton(m), (w, m)
+
+
+def _at_most_twelve(parts):
+    kept = []
+    for part in parts:
+        if sum(kept) + part <= 12:
+            kept.append(part)
+    return tuple(sorted(kept, reverse=True))
+
+
+@settings(max_examples=60, deadline=None)
+@example({(): 3})
+@given(st.dictionaries(
+    st.lists(st.integers(1, 12), max_size=12).map(_at_most_twelve),
+    st.integers(-20, 20),
+    max_size=8,
+))
+def test_p_to_e_is_the_product_of_newton_images(terms):
+    expected = SymFunc.zero(E)
+    for lam, c in terms.items():
+        product = monomial(E, (), c)
+        for part in lam:
+            product = product * power_image_by_newton(part)
+        expected = expected + product
+    assert p_to_e(SymFunc(P, terms)) == expected
+
+
+class _CappedTable(list):
+    def append(self, item):
+        if len(self) >= 3:
+            raise AssertionError(f"table grown to size {len(self)}")
+        super().append(item)
+
+
+def test_p_to_e_grows_tables_only_to_the_largest_part(monkeypatch):
+    # degree 1000 but largest part 2: the tables stop at p_2, where
+    # partitions of the degree would never fit in memory
+    w = _width(1000)
+    monkeypatch.setattr(
+        symfunc, "_TABLES", {w: (_CappedTable([{0: 1}]), _CappedTable([{0: 1}]))}
+    )
+    p_to_e(monomial(P, (2,) * 500))
+    assert [len(table) for table in symfunc._TABLES[w]] == [3, 3]
 
 
 def test_p_to_e_rejects_elementary_input():
