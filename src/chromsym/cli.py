@@ -128,13 +128,12 @@ def _render_csf(x: SymFunc, fmt: str) -> str:
 
 def cmd_csf(args) -> int:
     spec = parse_graph_spec(args.graph)
-    # a size the formulas refuse exits before the graph is built; the
-    # build still runs, since it rejects specs the formulas accept
+    # the family's parameter rules and the formulas' size cap both come
+    # before the graph is built, which only the oracle needs
     x = closed_formula(spec)
-    graph = build_graph(spec)
     source = "formula"
     if x is None:
-        x = csf_oracle(graph)
+        x = csf_oracle(build_graph(spec))
         source = "oracle"
     if args.format == "json":
         print(json.dumps({
@@ -390,9 +389,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # interpreter exit does not fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except SpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,14 +10,14 @@ per-family coefficient on top.  The oracle recomputes any graph's
 function from scratch from Stanley's signed sum over edge subsets,
 carried across the graph's chains between branch vertices by one
 frontier transfer instead of enumerated, and bounded by the live terms
-the transfer makes rather than by the edge count.  verify, csf without
-a closed formula, and every theta scan cell all reach the transfer
-through csf_oracle on a built graph.  The oracle shares no code path
-with the formulas; it shares only p_to_e, its packed partition keys,
-and symfunc's per-width table of signed arrangement counts, which the
-transfer reads for its free middles and p_to_e scales into the images
-of the power sums; the tests check those images against Newton's
-recurrence.
+the transfer makes and the inner vertices of each chain rather than by
+the edge count.  verify, csf without a closed formula, and every theta
+scan cell all reach the transfer through csf_oracle on a built graph.
+The oracle shares no code path with the formulas; it shares only
+p_to_e, its packed partition keys, and symfunc's per-width table of
+signed arrangement counts, which the transfer reads for its free
+middles and p_to_e scales into the images of the power sums; the tests
+check those images against Newton's recurrence.
 """
 
 from __future__ import annotations
@@ -65,13 +65,13 @@ from .symfunc import (
 # host; a refused 52-edge G(15, 1/2) stopped after 17 s at 462 MB.
 _ORACLE_MAX_STATES = 500_000
 
-# Partitions in the free-middle tables one chain needs: every partition
-# of up to r vertices for r inner vertices, as many as the live states
-# of a walk along the chain one edge at a time.  The table is built
-# once per process and digit width and shared with p_to_e.  500 000
-# allows chains of up to 44 inner vertices (451 501 partitions, about
-# 1 s to build on a 2-CPU host); 45 would need 540 635.
-_CHAIN_MAX_TABLE = 500_000
+# Inner vertices of one chain: its free middles read every partition of
+# up to r vertices for r inner vertices, as many as the live states of a
+# walk along the chain one edge at a time.  The table is built once per
+# process and digit width and shared with p_to_e.  44 inner vertices
+# need 451 501 partitions, about 1 s to build on a 2-CPU host; 45 would
+# need 540 635.
+_CHAIN_MAX_INNER = 44
 
 # The formulas visit all 2**(n-1) compositions of n; at n = 26 that is
 # 2**25 of them, 20 to 30 s on a 2-CPU host.
@@ -254,29 +254,6 @@ def _cut_terms(sizes, slots, r: int, free, base: int, w: int) -> dict[int, int]:
     return terms
 
 
-def _table_sizes(top: int) -> list[int]:
-    """p(0) + ... + p(r), the partitions of up to r vertices, for r = 0
-    up to top or up to the first r whose total passes _CHAIN_MAX_TABLE,
-    whichever comes first.  Each p(r) follows from the ones before by
-    Euler's pentagonal number recurrence, so a refusal costs no more
-    than the sizes below the cap."""
-    counts = [1]
-    totals = [1]
-    while len(counts) <= top and totals[-1] <= _CHAIN_MAX_TABLE:
-        r = len(counts)
-        p = 0
-        j = 1
-        while j * (3 * j - 1) // 2 <= r:
-            sign = 1 if j % 2 else -1
-            for gap in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
-                if gap <= r:
-                    p += sign * counts[r - gap]
-            j += 1
-        counts.append(p)
-        totals.append(totals[-1] + p)
-    return totals
-
-
 def _refuse(idx: int, chains: int, made: int) -> NoReturn:
     raise ResourceLimitError(
         f"oracle transfer capped at {_ORACLE_MAX_STATES} live states, "
@@ -306,8 +283,8 @@ def csf_chains(n: int, chains: Sequence[Chain]) -> SymFunc:
     live vertex, into one cached polynomial per target labels and
     sizes.  The work follows the live terms, so the call refuses once
     a step has made more than _ORACLE_MAX_STATES of them, counted as
-    they are made; before any step, it refuses a chain whose free
-    middles need more than _CHAIN_MAX_TABLE partitions.
+    they are made; before any step, it refuses a chain of more than
+    _CHAIN_MAX_INNER inner vertices.
     """
     w = _width(n)
     base = n * w
@@ -316,15 +293,13 @@ def csf_chains(n: int, chains: Sequence[Chain]) -> SymFunc:
     for idx, (u, v, _) in enumerate(chains):
         last[u] = last[v] = idx
     interior = [r for _, _, r in chains]
-    tables = _table_sizes(max(interior, default=0))
     for idx, r in enumerate(interior):
-        if r >= len(tables) or tables[r] > _CHAIN_MAX_TABLE:
-            needs = f"{tables[r]}" if r < len(tables) else f"more than {tables[-1]}"
+        if r > _CHAIN_MAX_INNER:
             raise ResourceLimitError(
-                f"oracle transfer capped at {_CHAIN_MAX_TABLE} partitions in a chain's "
-                f"free middles, chain {idx + 1} of {len(chains)} needs {needs}"
+                f"oracle transfer capped at {_CHAIN_MAX_INNER} inner vertices per chain, "
+                f"chain {idx + 1} of {len(chains)} has {r}"
             )
-    free = _arrangement_table(w, len(tables) - 1)
+    free = _arrangement_table(w, max(interior, default=0))
     budget = _ORACLE_MAX_STATES
     slot_of: dict[int, int] = {}
     spare: list[int] = []
@@ -422,8 +397,11 @@ def csf_chains(n: int, chains: Sequence[Chain]) -> SymFunc:
 
 def closed_formula(spec: GraphSpec) -> SymFunc | None:
     """Dispatch to the closed-form evaluator the family table names for
-    the spec, None when only the oracle can answer."""
-    route = FAMILIES[spec.family].formula(spec.params)
+    the spec, None when only the oracle can answer.  Params the builder
+    rejects raise its ValueError first, before any size cap."""
+    row = FAMILIES[spec.family]
+    row.check(*spec.params)
+    route = row.formula(spec.params)
     if route is None:
         return None
     name, args = route
@@ -587,17 +565,9 @@ def _scan_cell(cell: tuple[int, int, int]) -> ThetaScanRow:
     a, b, c = cell
     n = a + b + c - 1
     x = csf_oracle(theta_graph(a, b, c))
-    report = is_e_positive(x)
-    lam, coeff = min(x.sorted_terms(), key=lambda item: (item[1], item[0]))
-    return ThetaScanRow(
-        a=a,
-        b=b,
-        c=c,
-        n=n,
-        e_positive=report.positive,
-        min_coeff=coeff,
-        min_coeff_shape=lam,
-    )
+    lam, coeff = min(x.terms.items(), key=lambda item: (item[1], item[0]))
+    # terms are nonzero, so e-positive is a positive least coefficient
+    return ThetaScanRow(a, b, c, n, coeff > 0, coeff, lam)
 
 
 def _load_checkpoint(path: str) -> dict[tuple[int, int, int], ThetaScanRow]:

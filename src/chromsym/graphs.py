@@ -66,27 +66,58 @@ class Graph(_GraphFields):
 
 # ---------------------------------------------------------- constructors
 
-def path_graph(n: int) -> Graph:
-    """Path on n vertices, edges i -- i+1."""
+# Each family's parameter rules, run by its builder and by its FamilyRow
+def _check_path(n: int) -> None:
     if n < 1:
         raise ValueError(f"path needs at least one vertex, got {n}")
+
+
+def _check_cycle(n: int) -> None:
+    if n < 3:
+        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+
+
+def _check_tadpole(m: int, tail: int) -> None:
+    if m < 3:
+        raise ValueError(f"tadpole cycle needs at least 3 vertices, got {m}")
+    if tail < 0:
+        raise ValueError(f"tail length must be nonnegative, got {tail}")
+
+
+def _check_chord(a: int, b: int) -> None:
+    if a < 1 or b < 1:
+        raise ValueError(f"both arcs need at least one edge, got ({a}, {b})")
+    _check_cycle(a + b)
+
+
+def _check_lengths(*lam: int) -> None:
+    if not lam:
+        raise ValueError("need at least one path length")
+    if any(p < 1 for p in lam):
+        raise ValueError(f"path lengths must be positive: {lam}")
+    if sum(1 for p in lam if p == 1) > 1:
+        raise ValueError(
+            "at most one path may have length 1: a second one would "
+            "repeat the edge between the two hub vertices"
+        )
+
+
+def path_graph(n: int) -> Graph:
+    """Path on n vertices, edges i -- i+1."""
+    _check_path(n)
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle on n vertices; a simple cycle needs n >= 3."""
-    if n < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    _check_cycle(n)
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def tadpole_graph(m: int, tail: int) -> Graph:
     """Cycle on m vertices with a path of tail extra vertices hung off
     cycle vertex 0.  tail = 0 gives the plain cycle."""
-    if m < 3:
-        raise ValueError(f"tadpole cycle needs at least 3 vertices, got {m}")
-    if tail < 0:
-        raise ValueError(f"tail length must be nonnegative, got {tail}")
+    _check_tadpole(m, tail)
     edges = [(i, (i + 1) % m) for i in range(m)]
     prev = 0
     for v in range(m, m + tail):
@@ -102,11 +133,8 @@ def cycle_chord_graph(a: int, b: int) -> Graph:
     When a or b is 1 the chord coincides with a cycle edge and is
     dropped, leaving the plain cycle.
     """
-    if a < 1 or b < 1:
-        raise ValueError(f"both arcs need at least one edge, got ({a}, {b})")
+    _check_chord(a, b)
     n = a + b
-    if n < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
     edges = {_normalize_edge((i, (i + 1) % n)) for i in range(n)}
     edges.add(_normalize_edge((0, a)))
     return Graph(n, tuple(edges))
@@ -121,15 +149,7 @@ def multipath_graph(path_lengths: Iterable[int]) -> Graph:
     of paths) + 2.
     """
     lam = tuple(sorted(path_lengths, reverse=True))
-    if not lam:
-        raise ValueError("need at least one path length")
-    if any(p < 1 for p in lam):
-        raise ValueError(f"path lengths must be positive: {lam}")
-    if sum(1 for p in lam if p == 1) > 1:
-        raise ValueError(
-            "at most one path may have length 1: a second one would "
-            "repeat the edge between the two hub vertices"
-        )
+    _check_lengths(*lam)
     edges = []
     nxt = 2
     for length in lam:
@@ -195,16 +215,18 @@ class GraphSpec(_GraphSpecFields):
 class FamilyRow(NamedTuple):
     """Everything the package knows about one family keyword.
 
-    arity is None when variadic.  formula gives the name of the engine's
-    closed-form evaluator covering the params and its arguments, or
-    None when only the oracle can answer.  e_positive says whether
-    e-positivity is established, making a negative coefficient a hard
-    failure.  path_lengths params are unordered; only an explicit_edges
-    spec carries an edge list.
+    arity is None when variadic.  check raises the builder's ValueError
+    for params it rejects, without building the graph.  formula gives
+    the name of the engine's closed-form evaluator covering the params
+    and its arguments, or None when only the oracle can answer.
+    e_positive says whether e-positivity is established, making a
+    negative coefficient a hard failure.  path_lengths params are
+    unordered; only an explicit_edges spec carries an edge list.
     """
 
     arity: int | None
     build: Callable[[GraphSpec], Graph]
+    check: Callable[..., None]
     formula: Callable[[Params], tuple[str, Params] | None]
     e_positive: Callable[[Params], bool]
     path_lengths: bool = False
@@ -244,18 +266,22 @@ def _spread(constructor: Callable[..., Graph]) -> Callable[[GraphSpec], Graph]:
     return lambda spec: constructor(*spec.params)
 
 
-_MULTIPATH = FamilyRow(None, lambda spec: multipath_graph(spec.params), _multipath_formula,
-                       _multipath_positive, path_lengths=True)
+_MULTIPATH = FamilyRow(None, lambda spec: multipath_graph(spec.params), _check_lengths,
+                       _multipath_formula, _multipath_positive, path_lengths=True)
 
 FAMILIES: dict[Family, FamilyRow] = {
-    Family.PATH: FamilyRow(1, _spread(path_graph), lambda p: ("csf_path", p), _proved),
-    Family.CYCLE: FamilyRow(1, _spread(cycle_graph), lambda p: ("csf_cycle", p), _proved),
-    Family.TADPOLE: FamilyRow(2, _spread(tadpole_graph), lambda p: ("csf_tadpole", p), _proved),
-    Family.CYCLE_CHORD: FamilyRow(2, _spread(cycle_chord_graph), _chord_formula, _proved),
+    Family.PATH: FamilyRow(1, _spread(path_graph), _check_path,
+                           lambda p: ("csf_path", p), _proved),
+    Family.CYCLE: FamilyRow(1, _spread(cycle_graph), _check_cycle,
+                            lambda p: ("csf_cycle", p), _proved),
+    Family.TADPOLE: FamilyRow(2, _spread(tadpole_graph), _check_tadpole,
+                              lambda p: ("csf_tadpole", p), _proved),
+    Family.CYCLE_CHORD: FamilyRow(2, _spread(cycle_chord_graph), _check_chord,
+                                  _chord_formula, _proved),
     Family.THETA: _MULTIPATH._replace(arity=3),
     Family.MULTIPATH: _MULTIPATH,
     Family.EDGES: FamilyRow(1, lambda spec: Graph(spec.params[0], spec.edge_list),
-                            lambda p: None, lambda p: False, explicit_edges=True),
+                            lambda n: None, lambda p: None, lambda p: False, explicit_edges=True),
 }
 
 
@@ -266,7 +292,7 @@ def build_graph(spec: GraphSpec) -> Graph:
 def render_graph_spec(spec: GraphSpec) -> str:
     """Inverse of the CLI spec parser, in canonical form."""
     if FAMILIES[spec.family].explicit_edges:
-        pairs = ",".join(f"{u}-{v}" for u, v in build_graph(spec).edges)
+        pairs = ",".join(f"{u}-{v}" for u, v in spec.edge_list)
         return f"edges:{spec.params[0]};{pairs}"
     return f"{spec.family.value}:" + ",".join(str(p) for p in spec.params)
 

@@ -371,15 +371,31 @@ def test_closed_formula_size_bound_exits_one(spec, n):
 
 
 def test_long_chain_table_bound_exits_one():
-    # the free-middle tables are counted only up to the first size past
-    # the cap, not for all 29 999 inner vertices of a chain
+    # the chains' inner vertices are checked before any free-middle
+    # table is built, so 29 999 of them are refused at once
     capped = run_module("csf", "theta:30000,30000,30000", capture_output=True, timeout=20)
     assert capped.returncode == 1
     assert capped.stdout == ""
     assert capped.stderr == (
-        "error: oracle transfer capped at 500000 partitions in a chain's free middles, "
-        "chain 1 of 3 needs more than 540635\n"
+        "error: oracle transfer capped at 44 inner vertices per chain, chain 1 of 3 has 29999\n"
     )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["csf", "tadpole:2,30"], "tadpole cycle needs at least 3 vertices, got 2"),
+    (["csf", "theta:30,1,1"], "at most one path may have length 1"),
+    (["verify", "theta:30,1,1"], "at most one path may have length 1"),
+    (["csf", "glambda:30,1,1"], "at most one path may have length 1"),
+    (["csf", "glambda:30,0"], "path lengths must be positive: (30, 0)"),
+])
+def test_parameter_errors_come_before_the_formula_size_cap(argv, message, capsys):
+    # each spec is past the formulas' 26-vertex cap, but its params are
+    # ones the builder rejects, so it is a usage error
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_closed_formula_below_the_bound_still_runs(capsys):

@@ -222,19 +222,33 @@ def test_oracle_counts_terms_as_they_are_made(monkeypatch):
 
 def test_oracle_caps_the_free_middle_tables(monkeypatch):
     # a chain of r inner vertices needs every partition of up to r
-    # vertices; the path on 47 vertices needs 540 635, and is refused
-    # before any is built
+    # vertices: 451 501 for the 44 of the path on 46 vertices, which
+    # runs, and 540 635 for the 45 of the path on 47, which is refused
+    # before any table is built
+    asked = []
+
+    class Built(Exception):
+        pass
+
+    def table(w, top):
+        asked.append(top)
+        raise Built
+
+    monkeypatch.setattr(engine, "_arrangement_table", table)
+    with pytest.raises(Built):
+        csf_oracle(path_graph(46))
     with pytest.raises(ResourceLimitError) as exc:
         csf_oracle(path_graph(47))
     assert str(exc.value) == (
-        "oracle transfer capped at 500000 partitions in a chain's free middles, "
-        "chain 1 of 1 needs 540635"
+        "oracle transfer capped at 44 inner vertices per chain, chain 1 of 1 has 45"
     )
-    # the path on 7 vertices needs 1 + 1 + 2 + 3 + 5 + 7 = 19, inclusive
-    monkeypatch.setattr(engine, "_CHAIN_MAX_TABLE", 18)
-    with pytest.raises(ResourceLimitError, match="chain 1 of 1 needs 19$"):
+    assert asked == [44]
+    monkeypatch.undo()
+    # the path on 7 vertices has 5 inner vertices, and the cap is inclusive
+    monkeypatch.setattr(engine, "_CHAIN_MAX_INNER", 4)
+    with pytest.raises(ResourceLimitError, match="chain 1 of 1 has 5$"):
         csf_oracle(path_graph(7))
-    monkeypatch.setattr(engine, "_CHAIN_MAX_TABLE", 19)
+    monkeypatch.setattr(engine, "_CHAIN_MAX_INNER", 5)
     assert csf_oracle(path_graph(7)) == csf_path(7)
 
 
