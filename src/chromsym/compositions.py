@@ -8,43 +8,44 @@ the same with parts weakly decreasing.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
 
+_TAILS: list[tuple[Composition, ...]] = [()]
+
+
+def _blocks(n: int) -> Iterator[Iterable[Composition]]:
+    stack = [((), n)]
+    while stack:
+        prefix, m = stack.pop()
+        if m < len(_TAILS):
+            yield map(prefix.__add__, _TAILS[m])
+        else:
+            yield (prefix + (m,),)
+            stack.extend([(prefix + (j,), m - j) for j in range(1, m)])
+
 
 def compositions(n: int) -> Iterator[Composition]:
-    """Yield the 2**(n-1) compositions of n, each exactly once.
+    """Return the 2**(n-1) compositions of n, each once, lazily.
 
     The order is lexicographic on the cut-point bitmask: composition
     number m (0 <= m < 2**(n-1)), read as an (n-1)-bit string from the
     most significant end, has a part boundary after position j exactly
     when bit j of that string is set.  So n comes first, then (n-1, 1),
-    and (1,)*n comes last.
-
-    The stream steps from mask m to m+1 in place on one list of parts:
-    the trailing run of k ones merges into the part x before it, so
-    (..., x, 1^k) becomes (..., x-1, k+1), and the all-ones composition
-    ends the stream.  A step pops k+1 parts and pushes two, which is
-    amortized O(1) Python work per composition, plus one tuple copy.
-    Nothing is materialised.
+    and (1,)*n comes last.  That is (n), then for j = n-1 down to 1 the
+    block (j,) + c for every composition c of n-j.  A block of n-j <= 10
+    maps a tuple concatenation in C over _TAILS[n-j], built on first use
+    (up to 1 023 tuples, 0.1 MB, once per process); a larger n-j splits
+    again by its first part.
     """
     if n < 1:
         raise ValueError(f"compositions are indexed by n >= 1, got {n}")
-    parts = [n]
-    pop, append = parts.pop, parts.append
-    while True:
-        yield tuple(parts)
-        k = 1
-        last = pop()
-        while last == 1:
-            if not parts:
-                return
-            last = pop()
-            k += 1
-        append(last - 1)
-        append(k)
+    while len(_TAILS) <= min(n, 10):
+        _TAILS.append(tuple(chain.from_iterable(_blocks(len(_TAILS)))))
+    return chain.from_iterable(_blocks(n))
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:

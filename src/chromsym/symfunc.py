@@ -14,7 +14,7 @@ a multiplicity is at most the degree, which is below 2**w.
 from __future__ import annotations
 
 from enum import Enum
-from math import comb
+from math import comb, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -340,23 +340,22 @@ def is_e_positive(f: SymFunc) -> EPositivityReport:
 def principal_specialization(f: SymFunc, k: int) -> int:
     """Evaluate with k variables set to 1 and the rest to 0.
 
-    In the elementary basis e_m contributes comb(k, m) per part; in the
-    power-sum basis every part contributes k.
+    In the elementary basis each part m gives comb(k, m), from one row;
+    a term of 16 or more parts raises each run of equal parts by one pow
+    rather than by a product per part.  In the power-sum basis, k.
     """
     if not isinstance(k, int) or isinstance(k, bool):
         raise TypeError(f"k must be int, got {k!r}")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    total = 0
-    for lam, c in f.terms.items():
-        if f.basis is Basis.ELEMENTARY:
-            v = 1
-            for part in lam:
-                v *= comb(k, part)
-        else:
-            v = k ** len(lam)
-        total += c * v
-    return total
+    if f.basis is Basis.POWERSUM:
+        return sum(c * k ** len(lam) for lam, c in f.terms.items())
+    row = [comb(k, m) for m in range(max((lam[0] for lam in f.terms if lam), default=0) + 1)]
+    return sum(
+        c * (prod(map(row.__getitem__, lam)) if len(lam) < 16
+             else prod(row[m] ** lam.count(m) for m in set(lam)))
+        for lam, c in f.terms.items()
+    )
 
 
 # ----------------------------------------------------------- rendering

@@ -6,14 +6,17 @@ bitmasks, the signed chord weight, the segment picture of the chord
 weight, Newton's recurrence for the power sums, Stanley's edge-subset
 sum one subset at a time and carried edge by edge, products by sorting
 joined partitions, the chromatic polynomial by deletion-contraction
-alone, and so on.  The three-edge deletion identities are here too:
-they are paper identities that only the tests check.
+alone, the composition sums with every weight multiplied out, the
+principal specialization one part at a time, and so on.  The
+three-edge deletion identities are here too: they are paper identities
+that only the tests check.
 They exist only to cross-check the package, so they live beside the
 tests and not in it.  The file name does not start with test_, so
 pytest imports it without collecting it.
 """
 
 import itertools
+import math
 from typing import Iterator, Mapping, Sequence
 
 from chromsym.compositions import (
@@ -128,6 +131,21 @@ def csf_cycle_chord_signed(a: int, b: int) -> SymFunc:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
     return _aggregate(n, lambda comp: signed_chord_weight(comp, b))
+
+
+def aggregate_every_composition(n: int, coeff) -> SymFunc:
+    """The e-expansion sum of coeff(comp) * weight(comp) over every
+    composition of n, each decoded from its cut bitmask and weighted by
+    i_1 * (i_2 - 1) * ... * (i_z - 1) multiplied out, with no screen for
+    the weights that vanish.  coeff is asked only where the weight is
+    nonzero, since a vanishing weight makes its value irrelevant."""
+    acc: dict[Partition, int] = {}
+    for comp in compositions_by_mask(n):
+        w = comp[0] * math.prod(p - 1 for p in comp[1:])
+        if w:
+            lam = tuple(sorted(comp, reverse=True))
+            acc[lam] = acc.get(lam, 0) + coeff(comp) * w
+    return SymFunc(Basis.ELEMENTARY, acc)
 
 
 # ----------------------------------------------------------------- graphs
@@ -332,6 +350,17 @@ def multiply_by_sorting(
         for mu, b in g.items():
             key = tuple(sorted(lam + mu, reverse=True))
             out[key] = out.get(key, 0) + scale * a * b
+
+
+def principal_specialization_by_parts(f: SymFunc, k: int) -> int:
+    """e_lam at k ones is the product of comb(k, m) over the parts m of
+    lam, multiplied in one part at a time."""
+    total = 0
+    for lam, c in f.terms.items():
+        for m in lam:
+            c *= math.comb(k, m)
+        total += c
+    return total
 
 
 def from_json_dict(data: dict) -> SymFunc:

@@ -123,8 +123,10 @@ def test_compositions_complete_and_distinct(n):
         assert all(p >= 1 for p in comp)
 
 
-@pytest.mark.parametrize("n", range(1, 15))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_compositions_match_the_mask_decoder(n):
+    # past n = 11 a block's tail is itself split by its first part, and
+    # by n = 16 that happens at several depths
     assert list(compositions(n)) == list(compositions_by_mask(n))
 
 
@@ -156,6 +158,22 @@ def test_compositions_are_lazy():
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1000 [(64,), (63, 1), (62, 2), (62, 1, 1)]\n"
+
+
+def test_compositions_head_of_a_huge_n_comes_at_once():
+    # Only the prefixes on the way to the first block are walked, so the
+    # head of the stream of 3000 costs about as little as that of 3.
+    code = (
+        "import itertools, resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from chromsym.compositions import compositions\n"
+        "print(list(itertools.islice(compositions(3000), 3)))\n"
+    )
+    src = str(Path(chromsym.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[(3000,), (2999, 1), (2998, 2)]\n"
 
 
 def test_compositions_rejects_nonpositive():

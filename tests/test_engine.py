@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import chromsym.engine as engine
 import chromsym.symfunc as symfunc
+from chromsym.compositions import chord_weight, surplus
 from chromsym.engine import (
     ThetaScanRow,
     csf_cycle,
@@ -44,6 +45,7 @@ from chromsym.graphs import (
 from chromsym.symfunc import Basis, SymFunc, monomial, p_to_e, render_latex
 import reference
 from reference import (
+    aggregate_every_composition,
     check_triple_deletion,
     csf_by_edge_subsets,
     csf_by_edge_transfer,
@@ -146,6 +148,28 @@ def test_signed_route_matches_case_split():
     for a in range(2, 7):
         for b in range(2, 10 - a + 1):
             assert csf_cycle_chord_signed(a, b) == csf_cycle_chord(a, b), (a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_screened_aggregate_equals_the_plain_sum(n):
+    # _aggregate drops the zero-weight compositions before weighting
+    # them; the reference weights every one.  Each family's coefficient,
+    # and the signed chord coefficient, which can be negative, sees the
+    # same sum either way.
+    cases = [("path", csf_path(n), lambda comp: 1)]
+    if n >= 2:
+        cases.append(("cycle", csf_cycle(n), lambda comp: comp[0] - 1))
+    for m in range(2, n + 1):
+        cases.append((("tadpole", m), csf_tadpole(m, n - m),
+                      lambda comp, a=n - m + 1: surplus(comp, a)))
+    for b in range(2, n - 1):
+        cases.append((("cc", b), csf_cycle_chord(n - b, b),
+                      lambda comp, b=b: chord_weight(comp, b)))
+    for b in range(1, n if n >= 3 else 1):
+        cases.append((("signed", b), csf_cycle_chord_signed(n - b, b),
+                      lambda comp, b=b: signed_chord_weight(comp, b)))
+    for label, screened, coeff in cases:
+        assert screened == aggregate_every_composition(n, coeff), label
 
 
 def test_signed_chord_weight_telescopes():

@@ -17,7 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chromsym.symfunc as symfunc
+from chromsym.cli import parse_graph_spec
 from chromsym.compositions import partitions
+from chromsym.engine import csf_oracle
+from chromsym.graphs import build_graph, count_proper_colorings
 from chromsym.symfunc import (
     _degree,
     _image_table,
@@ -39,7 +42,12 @@ from chromsym.symfunc import (
     term_sort_key,
     to_json_dict,
 )
-from reference import from_json_dict, multiply_by_sorting, power_image_by_newton
+from reference import (
+    from_json_dict,
+    multiply_by_sorting,
+    power_image_by_newton,
+    principal_specialization_by_parts,
+)
 
 E = Basis.ELEMENTARY
 P = Basis.POWERSUM
@@ -387,6 +395,34 @@ def test_principal_specialization_domain():
         principal_specialization(monomial(E, (2,)), -1)
     with pytest.raises(TypeError):
         principal_specialization(monomial(E, (2,)), 2.0)
+
+
+@st.composite
+def long_run_functions(draw):
+    """e-functions whose terms repeat a few parts many times, so most
+    terms have 16 or more parts and long runs of equal parts."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        runs = draw(st.dictionaries(st.integers(1, 9), st.integers(1, 40), min_size=1, max_size=4))
+        lam = tuple(sorted((m for m, r in runs.items() for _ in range(r)), reverse=True))
+        terms[lam] = draw(st.integers(-10**6, 10**6).filter(bool))
+    return SymFunc(E, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(long_run_functions(), st.integers(0, 60))
+def test_principal_specialization_equals_the_part_by_part_product(f, k):
+    assert principal_specialization(f, k) == principal_specialization_by_parts(f, k)
+
+
+def test_principal_specialization_of_a_wide_graph():
+    graph = build_graph(parse_graph_spec("edges:300;"))
+    f = csf_oracle(graph)
+    assert f == monomial(E, (1,) * 300)
+    for k in range(301):
+        value = principal_specialization(f, k)
+        assert value == principal_specialization_by_parts(f, k) == k ** 300, k
+        assert value == count_proper_colorings(graph, k), k
 
 
 # --------------------------------------------------------------- output
