@@ -75,11 +75,11 @@ def composition_weight(comp: Composition) -> int:
     """First part times (part - 1) over the remaining parts.
 
     Zero exactly when some part after the first equals 1.
+    engine._aggregate skips those compositions by that test before it
+    calls here, so a change to this product must change that screen too.
     """
     w = comp[0]
     for p in comp[1:]:
-        if p == 1:
-            return 0
         w *= p - 1
     return w
 

@@ -92,7 +92,7 @@ def _aggregate(n: int, coeff: Callable[[Composition], int]) -> SymFunc:
     acc: dict[Partition, int] = {}
     for comp in compositions(n):
         if 1 in comp and (comp[0] != 1 or comp.count(1) > 1):
-            continue  # weight 0, screened by built-in tuple operations alone
+            continue  # composition_weight is 0: a part after the first is 1
         c = coeff(comp)
         if c == 0:
             continue

@@ -14,7 +14,7 @@ a multiplicity is at most the degree, which is below 2**w.
 from __future__ import annotations
 
 from enum import Enum
-from math import comb, prod
+from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -340,9 +340,8 @@ def is_e_positive(f: SymFunc) -> EPositivityReport:
 def principal_specialization(f: SymFunc, k: int) -> int:
     """Evaluate with k variables set to 1 and the rest to 0.
 
-    In the elementary basis each part m gives comb(k, m), from one row;
-    a term of 16 or more parts raises each run of equal parts by one pow
-    rather than by a product per part.  In the power-sum basis, k.
+    In the elementary basis each part m contributes comb(k, m), read
+    from one row built per call; in the power-sum basis, k.
     """
     if not isinstance(k, int) or isinstance(k, bool):
         raise TypeError(f"k must be int, got {k!r}")
@@ -351,11 +350,12 @@ def principal_specialization(f: SymFunc, k: int) -> int:
     if f.basis is Basis.POWERSUM:
         return sum(c * k ** len(lam) for lam, c in f.terms.items())
     row = [comb(k, m) for m in range(max((lam[0] for lam in f.terms if lam), default=0) + 1)]
-    return sum(
-        c * (prod(map(row.__getitem__, lam)) if len(lam) < 16
-             else prod(row[m] ** lam.count(m) for m in set(lam)))
-        for lam, c in f.terms.items()
-    )
+    total = 0
+    for lam, c in f.terms.items():
+        for m in lam:
+            c *= row[m]
+        total += c
+    return total
 
 
 # ----------------------------------------------------------- rendering

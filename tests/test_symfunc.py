@@ -400,7 +400,7 @@ def test_principal_specialization_domain():
 @st.composite
 def long_run_functions(draw):
     """e-functions whose terms repeat a few parts many times, so most
-    terms have 16 or more parts and long runs of equal parts."""
+    terms have long runs of equal parts."""
     terms = {}
     for _ in range(draw(st.integers(1, 4))):
         runs = draw(st.dictionaries(st.integers(1, 9), st.integers(1, 40), min_size=1, max_size=4))
