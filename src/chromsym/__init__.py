@@ -4,65 +4,26 @@ Closed-form expansions for paths, cycles, tadpoles, and chorded
 cycles, an independent edge-subset oracle for arbitrary graphs carried
 over their degree-2 chains (which also answers for multipath and theta
 graphs), and e-positivity certification, all in exact integer
-arithmetic.
+arithmetic.  Every other name imports from its own module.
 """
 
-from .compositions import (
-    Composition,
-    Partition,
-    SegmentDissection,
-    SplitParams,
-    chord_weight,
-    composition_weight,
-    compositions,
-    dominance_leq,
-    e2_sym,
-    partition_of,
-    partitions,
-    segment_dissection,
-    split_params,
-    surplus,
-)
+from .compositions import chord_weight
 from .engine import (
-    ThetaScanRow,
-    VerificationReport,
     closed_formula,
     csf_cycle,
     csf_cycle_chord,
     csf_oracle,
     csf_path,
     csf_tadpole,
-    scan_theta,
-    theta_scan_cells,
     verify,
 )
-from .graphs import (
-    Family,
-    Graph,
-    GraphSpec,
-    ResourceLimitError,
-    build_graph,
-    chromatic_polynomial,
-    count_proper_colorings,
-    cycle_chord_graph,
-    cycle_graph,
-    is_nice,
-    multipath_graph,
-    path_graph,
-    render_graph_spec,
-    stable_partition_types,
-    tadpole_graph,
-    theta_graph,
-)
+from .graphs import Family, Graph, GraphSpec, ResourceLimitError, build_graph, theta_graph
 from .symfunc import (
     Basis,
-    EPositivityReport,
     SymFunc,
     is_e_positive,
-    monomial,
     p_to_e,
     principal_specialization,
-    render_latex,
     render_text,
     to_json_dict,
 )

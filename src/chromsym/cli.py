@@ -37,7 +37,7 @@ from .graphs import (
     is_nice,
     render_graph_spec,
 )
-from .symfunc import SymFunc, render_latex, render_text, to_json_dict
+from .symfunc import render_latex, render_text, to_json_dict
 
 
 class SpecParseError(ValueError):
@@ -120,12 +120,6 @@ def parse_composition(text: str) -> Composition:
 
 # -------------------------------------------------------------- commands
 
-def _render_csf(x: SymFunc, fmt: str) -> str:
-    if fmt == "latex":
-        return render_latex(x)
-    return render_text(x)
-
-
 def cmd_csf(args) -> int:
     spec = parse_graph_spec(args.graph)
     # the family's parameter rules and the formulas' size cap both come
@@ -141,8 +135,10 @@ def cmd_csf(args) -> int:
             "source": source,
             "csf": to_json_dict(x),
         }))
+    elif args.format == "latex":
+        print(render_latex(x))
     else:
-        print(_render_csf(x, args.format))
+        print(render_text(x))
     return 0
 
 
@@ -297,16 +293,24 @@ def cmd_chrompoly(args) -> int:
     spec = parse_graph_spec(args.graph)
     graph = build_graph(spec)
     counts = [count_proper_colorings(graph, k) for k in range(graph.n + 1)]
-    if args.format == "json":
-        print(json.dumps({
-            "spec": render_graph_spec(spec),
-            "n": graph.n,
-            "counts": counts,
-        }))
-    else:
-        print(f"graph: {render_graph_spec(spec)} ({graph.n} vertices)")
-        for k, c in enumerate(counts):
-            print(f"k={k}: {c}")
+    # Python refuses to write an int of more than 4300 digits, to keep
+    # parsing hostile input fast, but 1400**1400 has 4405: lift the cap
+    # while the counts are written, and write them whole or not at all
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            text = json.dumps({
+                "spec": render_graph_spec(spec),
+                "n": graph.n,
+                "counts": counts,
+            })
+        else:
+            text = "\n".join([f"graph: {render_graph_spec(spec)} ({graph.n} vertices)",
+                              *(f"k={k}: {c}" for k, c in enumerate(counts))])
+    finally:
+        sys.set_int_max_str_digits(cap)
+    print(text)
     return 0
 
 

@@ -27,7 +27,7 @@ import json
 import os
 import sys
 import time
-from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 from .compositions import (
     Composition,
@@ -214,12 +214,6 @@ def _graph_chains(graph: Graph) -> list[Chain]:
     return sorted(ordered, key=lambda c: (rank[c[1]], rank[c[0]], c[2]))
 
 
-def csf_oracle(graph: Graph) -> SymFunc:
-    """Chromatic symmetric function of any graph from first principles:
-    csf_chains over the graph's chains."""
-    return csf_chains(graph.n, _graph_chains(graph))
-
-
 def _place(size: int, slot: int | None, base: int, w: int) -> int:
     # a block that stays open is the digit at its slot; one that closes
     # is a part of the packed multiset below base
@@ -253,23 +247,16 @@ def _cut_terms(sizes, slots, r: int, free, base: int, w: int) -> dict[int, int]:
     return terms
 
 
-def _refuse(idx: int, chains: int, made: int) -> NoReturn:
-    raise ResourceLimitError(
-        f"oracle transfer capped at {_ORACLE_MAX_STATES} live states, "
-        f"chain {idx + 1} of {chains} left {made}"
-    )
-
-
-def csf_chains(n: int, chains: Sequence[Chain]) -> SymFunc:
-    """Chromatic symmetric function, in the elementary basis, of the
-    graph on n vertices made of the given chains; vertices on no chain
-    are isolated.
+def csf_oracle(graph: Graph) -> SymFunc:
+    """Chromatic symmetric function, in the elementary basis, of any
+    graph from first principles, carried over its chains.
 
     Stanley's signed edge-subset sum, sum over S of (-1)**|S|
-    p_(component sizes of S), is carried across the chains in the order
-    given as a frontier transfer, so no subset is enumerated.  A state
-    maps the block labels of the live branch vertices (touched, and not
-    past their last chain) to one power-sum polynomial on packed keys:
+    p_(component sizes of S), is carried across the chains in
+    _graph_chains order as a frontier transfer, so no subset is
+    enumerated; vertices on no chain are isolated.  A state maps the
+    block labels of the live branch vertices (touched, and not past
+    their last chain) to one power-sum polynomial on packed keys:
     the closed component sizes in the low n * w bits, in symfunc's codec
     at w = n.bit_length(), and each open block's size as a w-bit digit
     above them, at the slot of its first live vertex.  A chain of r
@@ -285,6 +272,8 @@ def csf_chains(n: int, chains: Sequence[Chain]) -> SymFunc:
     they are made; before any step, it refuses a chain of more than
     _CHAIN_MAX_INNER inner vertices.
     """
+    n = graph.n
+    chains = _graph_chains(graph)
     w = _width(n)
     base = n * w
     digit = (1 << w) - 1
@@ -380,7 +369,10 @@ def csf_chains(n: int, chains: Sequence[Chain]) -> SymFunc:
                     k = rest + off
                     out[k] = get(k, 0) + c * f
                 if len(out) + len(kout) > limit:
-                    _refuse(idx, len(chains), len(out) + len(kout) - limit + budget)
+                    raise ResourceLimitError(
+                        f"oracle transfer capped at {budget} live states, chain {idx + 1} "
+                        f"of {len(chains)} left {len(out) + len(kout) - limit + budget}"
+                    )
             made += len(out) + len(kout) - before
         states = step
         for p, keep in enumerate(alive):
@@ -499,18 +491,7 @@ class ThetaScanRow(NamedTuple):
         return (self.a, self.b, self.c)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": SCAN_SCHEMA,
-                "a": self.a,
-                "b": self.b,
-                "c": self.c,
-                "n": self.n,
-                "e_positive": self.e_positive,
-                "min_coeff": self.min_coeff,
-                "min_coeff_shape": list(self.min_coeff_shape),
-            }
-        )
+        return json.dumps({"schema": SCAN_SCHEMA, **self._asdict()})
 
     @classmethod
     def from_json(cls, line: str) -> "ThetaScanRow":

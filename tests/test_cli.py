@@ -2,6 +2,9 @@
 formats, determinism, and exit codes."""
 
 import argparse
+import ast
+import importlib
+import importlib.util
 import itertools
 import json
 import os
@@ -9,6 +12,7 @@ import random
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -584,6 +588,43 @@ def test_chrompoly_minor_budget_is_a_resource_bound():
         assert json.loads(ok.stdout)["counts"][-1] > 0
 
 
+def test_chrompoly_prints_counts_past_the_digit_cap(capsys):
+    # Python refuses to print ints of more than sys.get_int_max_str_digits()
+    # digits; lowered to 640, the edgeless 300-vertex graph's 300**300
+    # (744 digits) stands in for edges:1400;'s 1400**1400 (4405 digits)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["chrompoly", "edges:300;"]) == 0
+        text = capsys.readouterr().out
+        assert main(["chrompoly", "edges:300;", "--format", "json"]) == 0
+        data = capsys.readouterr().out
+        assert sys.get_int_max_str_digits() == 640
+        # parsing keeps the cap: a 700-digit spec parameter is bad input
+        assert main(["csf", "path:" + "9" * 700]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "(640 digits)" in captured.err
+    finally:
+        sys.set_int_max_str_digits(cap)
+    lines = text.splitlines()
+    assert lines[0] == "graph: edges:300; (300 vertices)"
+    assert lines[1:] == [f"k={k}: {k ** 300}" for k in range(301)]
+    assert json.loads(data)["counts"] == [k ** 300 for k in range(301)]
+
+
+def test_a_failed_render_prints_nothing(monkeypatch, capsys):
+    class Unprintable(int):
+        def __format__(self, spec):
+            raise ValueError("cannot print this count")
+
+    monkeypatch.setattr(cli, "count_proper_colorings",
+                        lambda graph, k: Unprintable(k) if k == 3 else k)
+    assert main(["chrompoly", "path:5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot print this count\n"
+
+
 # ------------------------------------------------------------ exit codes
 
 def test_usage_errors_exit_two(capsys):
@@ -677,3 +718,76 @@ def test_readme_names_only_real_options():
             if option not in (accepted[command] if command else anywhere):
                 unknown.append((command, option))
     assert unknown == []
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"^## Library quick start\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    exec(code.group(1), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["54e_6 + 16e_{51} + 26e_{42} + 2e_{222}", "True"]
+
+
+# ------------------------------------------------------------- package
+
+PUBLIC = {
+    "csf_path", "csf_cycle", "csf_tadpole", "csf_cycle_chord", "csf_oracle",
+    "closed_formula", "verify", "chord_weight",
+    "Graph", "GraphSpec", "Family", "build_graph", "theta_graph", "ResourceLimitError",
+    "Basis", "SymFunc", "p_to_e", "principal_specialization", "is_e_positive",
+    "render_text", "to_json_dict",
+}
+
+
+def test_package_exports_only_the_documented_names():
+    import chromsym
+
+    names = {name for name, value in vars(chromsym).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert names == PUBLIC
+
+
+def test_benchmark_imports_resolve():
+    """Every name the benchmark harness takes from chromsym resolves:
+    `from chromsym... import`, `import chromsym...`, `chromsym.X...`
+    chains, and the module attributes perfbench/spans.py rebinds."""
+    import chromsym
+
+    def resolve(dotted: str):
+        obj = chromsym
+        for part in dotted.split(".")[1:]:
+            if not hasattr(obj, part) and isinstance(obj, types.ModuleType):
+                importlib.import_module(f"{obj.__name__}.{part}")
+            obj = getattr(obj, part)  # AttributeError names what is missing
+        return obj
+
+    def chain(node: ast.AST) -> str | None:
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id == "chromsym":
+            return ".".join(["chromsym", *reversed(parts)])
+        return None
+
+    bench = SRC.parent / "perfbench"
+    taken = set()
+    for path in sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "chromsym":
+                taken.update(f"{node.module}.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.Import):
+                taken.update(a.name for a in node.names if a.name.split(".")[0] == "chromsym")
+            elif isinstance(node, ast.Attribute) and chain(node):
+                taken.add(chain(node))
+    assert {"chromsym.csf_oracle", "chromsym.SymFunc", "chromsym.cli.main"} <= taken
+    for dotted in sorted(taken):
+        resolve(dotted)
+
+    spec = importlib.util.spec_from_file_location("spans", bench / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for _, _, targets, _ in spans.WRAPPED:
+        found = [resolve(f"chromsym.{t}" if not t.startswith("chromsym.") else t)
+                 for t in targets]
+        assert all(fn is found[0] for fn in found), targets

@@ -176,6 +176,13 @@ def test_compositions_head_of_a_huge_n_comes_at_once():
     assert proc.stdout == "[(3000,), (2999, 1), (2998, 2)]\n"
 
 
+def test_compositions_module_is_not_shadowed_by_its_function():
+    import chromsym.compositions as module
+
+    assert hasattr(module, "_TAILS")
+    assert module.compositions is compositions
+
+
 def test_compositions_rejects_nonpositive():
     with pytest.raises(ValueError):
         list(compositions(0))
