@@ -33,7 +33,10 @@ from .graphs import (
     GraphSpec,
     ResourceLimitError,
     build_graph,
+    check_memo_edges,
+    check_stable_vertices,
     count_proper_colorings,
+    graph_size,
     is_nice,
     render_graph_spec,
 )
@@ -142,7 +145,19 @@ def cmd_csf(args) -> int:
     return 0
 
 
+# Characters in one line of delta's text picture; past it, only the
+# JSON output, which holds no picture, is written.
+_DELTA_MAX_CELLS = 10_000
+
+
 def _delta_picture(comp: Composition, b: int) -> list[str]:
+    # one cell per vertex of the segments i_1, ..., i_z, i_1, one per bar
+    width = sum(comp) + comp[0] + len(comp) + 2
+    if width > _DELTA_MAX_CELLS:
+        raise ResourceLimitError(
+            f"delta picture capped at {_DELTA_MAX_CELLS} cells, this one "
+            f"needs {width}; --format json prints the segments instead"
+        )
     d = segment_dissection(comp, b)
     lo, hi = d.window
     z = len(comp)
@@ -271,6 +286,7 @@ def cmd_scan_theta(args) -> int:
 
 def cmd_nice(args) -> int:
     spec = parse_graph_spec(args.graph)
+    check_stable_vertices(graph_size(spec)[0])
     graph = build_graph(spec)
     ok, witness = is_nice(graph)
     if args.format == "json":
@@ -291,6 +307,7 @@ def cmd_nice(args) -> int:
 
 def cmd_chrompoly(args) -> int:
     spec = parse_graph_spec(args.graph)
+    check_memo_edges(graph_size(spec)[1])
     graph = build_graph(spec)
     counts = [count_proper_colorings(graph, k) for k in range(graph.n + 1)]
     # Python refuses to write an int of more than 4300 digits, to keep

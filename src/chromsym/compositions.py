@@ -8,7 +8,7 @@ the same with parts weakly decreasing.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 Composition = tuple[int, ...]
@@ -48,6 +48,52 @@ def compositions(n: int) -> Iterator[Composition]:
     return chain.from_iterable(_blocks(n))
 
 
+# _FLAGS[L] is the weight flag stream for cut strings of length L <= 10
+_FLAGS: list[bytes] = [b"\1", b"\1\0"]
+while len(_FLAGS) <= 10:
+    _FLAGS.append(_FLAGS[-1] + _FLAGS[-2] + bytes(1 << (len(_FLAGS) - 2)))
+
+# the longest run of zero flags one repeat() may count
+_MAX_RUN = 62
+
+
+def _flag_pieces(length: int) -> Iterator[Iterable[int]]:
+    # the stack holds the flags F_L as L >= 0 and a run of 2**k zeros
+    # as ~k < 0
+    stack = [length]
+    while stack:
+        top = stack.pop()
+        if top < 0:
+            run = ~top
+            if run <= _MAX_RUN:
+                yield repeat(0, 1 << run)
+            else:
+                stack += [~(run - 1), ~(run - 1)]
+        elif top < len(_FLAGS):
+            yield _FLAGS[top]
+        else:
+            stack += [~(top - 2), top - 2, top - 1]
+
+
+def weight_flags(n: int) -> Iterator[int]:
+    """Return, lazily and aligned with compositions(n), 1 for each
+    composition whose composition_weight is nonzero and 0 for the rest.
+
+    Read a composition as its (n-1)-bit cut string.  Its weight is
+    nonzero exactly when no part after the first is 1, that is, when
+    the string followed by one set bit has no two adjacent set bits.
+    In stream order the flags F_L of the strings of length L are F_(L-1)
+    (first bit clear), F_(L-2) (first bits 10) and 2**(L-2) zeros (first
+    bits 11), from F_0 = 1 and F_1 = 1, 0.  F_L for L <= 10 is built
+    once per process (2 KB); a longer one is chained from those pieces
+    and runs of zeros, lazily, so it sums to the Fibonacci number F(n)
+    of the compositions that count.
+    """
+    if n < 1:
+        raise ValueError(f"compositions are indexed by n >= 1, got {n}")
+    return chain.from_iterable(_flag_pieces(n - 1))
+
+
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """Yield all partitions of n in descending lexicographic order.
 
@@ -75,8 +121,8 @@ def composition_weight(comp: Composition) -> int:
     """First part times (part - 1) over the remaining parts.
 
     Zero exactly when some part after the first equals 1.
-    engine._aggregate skips those compositions by that test before it
-    calls here, so a change to this product must change that screen too.
+    engine._aggregate skips those compositions by weight_flags before it
+    calls here, so a change to this product must change those flags too.
     """
     w = comp[0]
     for p in comp[1:]:

