@@ -50,8 +50,6 @@ def compositions(n: int) -> Iterator[Composition]:
 
 # _FLAGS[L] is the weight flag stream for cut strings of length L <= 10
 _FLAGS: list[bytes] = [b"\1", b"\1\0"]
-while len(_FLAGS) <= 10:
-    _FLAGS.append(_FLAGS[-1] + _FLAGS[-2] + bytes(1 << (len(_FLAGS) - 2)))
 
 # the longest run of zero flags one repeat() may count
 _MAX_RUN = 62
@@ -85,12 +83,14 @@ def weight_flags(n: int) -> Iterator[int]:
     In stream order the flags F_L of the strings of length L are F_(L-1)
     (first bit clear), F_(L-2) (first bits 10) and 2**(L-2) zeros (first
     bits 11), from F_0 = 1 and F_1 = 1, 0.  F_L for L <= 10 is built
-    once per process (2 KB); a longer one is chained from those pieces
-    and runs of zeros, lazily, so it sums to the Fibonacci number F(n)
-    of the compositions that count.
+    once per process, on first use (2 KB); a longer one is chained from
+    those pieces and runs of zeros, lazily, so it sums to the Fibonacci
+    number F(n) of the compositions that count.
     """
     if n < 1:
         raise ValueError(f"compositions are indexed by n >= 1, got {n}")
+    while len(_FLAGS) <= min(n - 1, 10):
+        _FLAGS.append(_FLAGS[-1] + _FLAGS[-2] + bytes(1 << (len(_FLAGS) - 2)))
     return chain.from_iterable(_flag_pieces(n - 1))
 
 
