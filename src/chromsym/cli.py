@@ -22,6 +22,7 @@ from typing import Sequence
 from .compositions import Composition, chord_weight, segment_dissection, split_params
 from .engine import (
     VerificationReport,
+    check_oracle_chains,
     closed_formula,
     csf_oracle,
     scan_theta,
@@ -125,11 +126,12 @@ def parse_composition(text: str) -> Composition:
 
 def cmd_csf(args) -> int:
     spec = parse_graph_spec(args.graph)
-    # the family's parameter rules and the formulas' size cap both come
-    # before the graph is built, which only the oracle needs
+    # the family's parameter rules, the formulas' size cap and the
+    # oracle's chain cap all come before the graph is built
     x = closed_formula(spec)
     source = "formula"
     if x is None:
+        check_oracle_chains(spec)
         x = csf_oracle(build_graph(spec))
         source = "oracle"
     if args.format == "json":

@@ -15,6 +15,8 @@ Composition = tuple[int, ...]
 Partition = tuple[int, ...]
 
 _TAILS: list[tuple[Composition, ...]] = [()]
+# per tail t of _TAILS[m]: whether the weights of t and of (1,) + t are nonzero
+_FLAGS: list[tuple[bytes, bytes]] = [(b"", b"")]
 
 
 def _blocks(n: int) -> Iterator[Iterable[Composition]]:
@@ -26,6 +28,16 @@ def _blocks(n: int) -> Iterator[Iterable[Composition]]:
         else:
             yield (prefix + (m,),)
             stack.extend([(prefix + (j,), m - j) for j in range(1, m)])
+
+
+def _grow(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"compositions are indexed by n >= 1, got {n}")
+    while len(_TAILS) <= min(n, 10):
+        tails = tuple(chain.from_iterable(_blocks(len(_TAILS))))
+        _FLAGS.append((bytes(composition_weight(t) != 0 for t in tails),
+                       bytes(composition_weight((1,) + t) != 0 for t in tails)))
+        _TAILS.append(tails)
 
 
 def compositions(n: int) -> Iterator[Composition]:
@@ -41,57 +53,35 @@ def compositions(n: int) -> Iterator[Composition]:
     (up to 1 023 tuples, 0.1 MB, once per process); a larger n-j splits
     again by its first part.
     """
-    if n < 1:
-        raise ValueError(f"compositions are indexed by n >= 1, got {n}")
-    while len(_TAILS) <= min(n, 10):
-        _TAILS.append(tuple(chain.from_iterable(_blocks(len(_TAILS)))))
+    _grow(n)
     return chain.from_iterable(_blocks(n))
 
 
-# _FLAGS[L] is the weight flag stream for cut strings of length L <= 10
-_FLAGS: list[bytes] = [b"\1", b"\1\0"]
-
-# the longest run of zero flags one repeat() may count
-_MAX_RUN = 62
-
-
-def _flag_pieces(length: int) -> Iterator[Iterable[int]]:
-    # the stack holds the flags F_L as L >= 0 and a run of 2**k zeros
-    # as ~k < 0
-    stack = [length]
+def _flag_blocks(n: int) -> Iterator[Iterable[int]]:
+    stack = [((), n)]
     while stack:
-        top = stack.pop()
-        if top < 0:
-            run = ~top
-            if run <= _MAX_RUN:
-                yield repeat(0, 1 << run)
-            else:
-                stack += [~(run - 1), ~(run - 1)]
-        elif top < len(_FLAGS):
-            yield _FLAGS[top]
+        prefix, m = stack.pop()
+        if prefix and not composition_weight(prefix):
+            yield repeat(0, 1 << (m - 1))
+        elif m < len(_TAILS):
+            yield _FLAGS[m][prefix != ()]
         else:
-            stack += [~(top - 2), top - 2, top - 1]
+            yield (int(composition_weight(prefix + (m,)) != 0),)
+            stack.extend([(prefix + (j,), m - j) for j in range(1, m)])
 
 
 def weight_flags(n: int) -> Iterator[int]:
     """Return, lazily and aligned with compositions(n), 1 for each
     composition whose composition_weight is nonzero and 0 for the rest.
 
-    Read a composition as its (n-1)-bit cut string.  Its weight is
-    nonzero exactly when no part after the first is 1, that is, when
-    the string followed by one set bit has no two adjacent set bits.
-    In stream order the flags F_L of the strings of length L are F_(L-1)
-    (first bit clear), F_(L-2) (first bits 10) and 2**(L-2) zeros (first
-    bits 11), from F_0 = 1 and F_1 = 1, 0.  F_L for L <= 10 is built
-    once per process, on first use (2 KB); a longer one is chained from
-    those pieces and runs of zeros, lazily, so it sums to the Fibonacci
-    number F(n) of the compositions that count.
+    A weight is a product over parts, so prefix + t weighs nonzero
+    exactly when prefix and (1,) + t do.  Over the blocks of
+    compositions(n), one over _TAILS[m] reads its _FLAGS row, and a
+    prefix of weight 0 gives 2**(m-1) zeros for its subtree: a run that
+    follows about as many other flags, so repeat() can always count it.
     """
-    if n < 1:
-        raise ValueError(f"compositions are indexed by n >= 1, got {n}")
-    while len(_FLAGS) <= min(n - 1, 10):
-        _FLAGS.append(_FLAGS[-1] + _FLAGS[-2] + bytes(1 << (len(_FLAGS) - 2)))
-    return chain.from_iterable(_flag_pieces(n - 1))
+    _grow(n)
+    return chain.from_iterable(_flag_blocks(n))
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
@@ -121,8 +111,6 @@ def composition_weight(comp: Composition) -> int:
     """First part times (part - 1) over the remaining parts.
 
     Zero exactly when some part after the first equals 1.
-    engine._aggregate skips those compositions by weight_flags before it
-    calls here, so a change to this product must change those flags too.
     """
     w = comp[0]
     for p in comp[1:]:

@@ -248,6 +248,24 @@ def _cut_terms(sizes, slots, r: int, free, base: int, w: int) -> dict[int, int]:
     return terms
 
 
+def _check_chains(interior: list[int]) -> None:
+    # the inner-vertex counts of the chains, in the transfer's order
+    for idx, r in enumerate(interior):
+        if r > _CHAIN_MAX_INNER:
+            raise ResourceLimitError(
+                f"oracle transfer capped at {_CHAIN_MAX_INNER} inner vertices per chain, "
+                f"chain {idx + 1} of {len(interior)} has {r}"
+            )
+
+
+def check_oracle_chains(spec: GraphSpec) -> None:
+    """Refuse, before the graph is built, a spec whose chains csf_oracle
+    would refuse.  The chains of three or more paths between two hubs
+    are the paths, which the transfer takes in ascending length."""
+    if FAMILIES[spec.family].path_lengths and len(spec.params) > 2:
+        _check_chains(sorted(p - 1 for p in spec.params))
+
+
 def csf_oracle(graph: Graph) -> SymFunc:
     """Chromatic symmetric function, in the elementary basis, of any
     graph from first principles, carried over its chains.
@@ -282,12 +300,7 @@ def csf_oracle(graph: Graph) -> SymFunc:
     for idx, (u, v, _) in enumerate(chains):
         last[u] = last[v] = idx
     interior = [r for _, _, r in chains]
-    for idx, r in enumerate(interior):
-        if r > _CHAIN_MAX_INNER:
-            raise ResourceLimitError(
-                f"oracle transfer capped at {_CHAIN_MAX_INNER} inner vertices per chain, "
-                f"chain {idx + 1} of {len(chains)} has {r}"
-            )
+    _check_chains(interior)
     free = _arrangement_table(w, max(interior, default=0))
     budget = _ORACLE_MAX_STATES
     slot_of: dict[int, int] = {}
@@ -434,9 +447,10 @@ def verify(spec: GraphSpec) -> VerificationReport:
     """Compute a graph's function by every route available and compare.
 
     Evaluates the closed formula first when the family has one, so a
-    size the formulas refuse stops the run before the graph is built;
-    then always runs the edge-subset oracle, and checks the principal
-    specialization against the independent coloring count at k = 0..n.
+    size the formulas refuse stops the run before the graph is built, as
+    does a chain the oracle refuses; then always runs the edge-subset
+    oracle, and checks the principal specialization against the
+    independent coloring count at k = 0..n.
     """
     timings: dict[str, float] = {}
 
@@ -444,6 +458,7 @@ def verify(spec: GraphSpec) -> VerificationReport:
     formula = closed_formula(spec)
     timings["formula"] = time.perf_counter() - start
 
+    check_oracle_chains(spec)
     graph = build_graph(spec)
 
     start = time.perf_counter()
@@ -533,8 +548,6 @@ def theta_scan_cells(n_max: int) -> list[tuple[int, int, int]]:
         for c in range(1, total // 3 + 1):
             for b in range(c, (total - c) // 2 + 1):
                 a = total - b - c
-                if a < b:
-                    continue
                 if b == 1 and c == 1:
                     continue
                 cells.append((a, b, c))

@@ -153,11 +153,6 @@ class SymFunc:
         return f"SymFunc({self.basis.value!r}, {render_text(self)!r})"
 
 
-def monomial(basis: Basis, lam: Iterable[int], coeff: int = 1) -> SymFunc:
-    """Single term coeff * basis_lam."""
-    return SymFunc(basis, {tuple(lam): coeff})
-
-
 # ---------------------------------------------------------- packed keys
 
 def _width(degree: int) -> int:
@@ -200,20 +195,14 @@ def _unpacked(terms: Mapping[int, int], w: int) -> dict[Partition, int]:
     return {_unpack(key, w): c for key, c in terms.items() if c}
 
 
-def _multiply_into(
-    out: dict[int, int],
-    f: Mapping[int, int],
-    g: Mapping[int, int],
-    scale: int = 1,
-) -> None:
-    """out += scale * f * g, for packed terms in a multiplicative basis
+def _multiply_into(out: dict[int, int], f: Mapping[int, int], g: Mapping[int, int]) -> None:
+    """out += f * g, for packed terms in a multiplicative basis
     (e or p), where the product of two basis elements joins their parts,
     which adds their keys.  All three share one width, wide enough for
     the degree of the product.  Cancelled terms stay in out as zeros
     until _unpacked drops them."""
     get = out.get
     for lam, a in f.items():
-        a *= scale
         for mu, b in g.items():
             key = lam + mu
             out[key] = get(key, 0) + a * b
@@ -375,15 +364,15 @@ def render_latex(f: SymFunc) -> str:
     unbraced, everything else is braced, and parts of 10 or more are
     comma-separated inside the braces.
     """
-    return _render(f, plus="+", minus="-", lead_minus="-")
+    return _render(f, plus="+", minus="-")
 
 
 def render_text(f: SymFunc) -> str:
     """Same expansion with spaced separators for terminal output."""
-    return _render(f, plus=" + ", minus=" - ", lead_minus="-")
+    return _render(f, plus=" + ", minus=" - ")
 
 
-def _render(f: SymFunc, plus: str, minus: str, lead_minus: str) -> str:
+def _render(f: SymFunc, plus: str, minus: str) -> str:
     if f.is_zero():
         return "0"
     letter = f.basis.value
@@ -397,7 +386,7 @@ def _render(f: SymFunc, plus: str, minus: str, lead_minus: str) -> str:
         else:
             body = str(mag)
         if idx == 0:
-            pieces.append(body if c > 0 else lead_minus + body)
+            pieces.append(body if c > 0 else "-" + body)
         else:
             pieces.append((plus if c > 0 else minus) + body)
     return "".join(pieces)

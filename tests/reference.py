@@ -29,7 +29,7 @@ from chromsym.compositions import (
 )
 from chromsym.engine import _aggregate, csf_oracle
 from chromsym.graphs import Edge, Graph, _normalize_edge
-from chromsym.symfunc import Basis, SymFunc, _pack, _unpack, _width, monomial, p_to_e
+from chromsym.symfunc import Basis, SymFunc, _pack, _unpack, _width, p_to_e
 
 # ----------------------------------------------------------- compositions
 
@@ -336,6 +336,11 @@ def component_partition(graph: Graph, subset: Sequence[Edge]) -> Partition:
 
 
 # ------------------------------------------------------- symmetric functions
+
+
+def monomial(basis: Basis, lam, coeff: int = 1) -> SymFunc:
+    """Single term coeff * basis_lam."""
+    return SymFunc(basis, {tuple(lam): coeff})
 
 
 def multiply_by_sorting(

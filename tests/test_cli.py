@@ -22,6 +22,7 @@ import chromsym.engine as engine
 from chromsym.cli import SpecParseError, build_parser, main, parse_composition, parse_graph_spec
 from chromsym.engine import csf_cycle_chord, scan_theta, theta_scan_cells
 from chromsym.graphs import Family, GraphSpec, build_graph, count_proper_colorings, render_graph_spec
+from chromsym.symfunc import Basis, EPositivityReport, SymFunc
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -327,6 +328,39 @@ def test_verify_oracle_only_family(capsys):
     assert data["passed"] is True
 
 
+@pytest.mark.parametrize("name, wrap, line", [
+    ("csf_oracle", lambda f: lambda g: f(g) + SymFunc(Basis.ELEMENTARY, {(g.n,): 1}),
+     "formula: DISAGREES with oracle"),
+    ("count_proper_colorings", lambda f: lambda g, k: f(g, k) + 1,
+     "colorings: DISAGREE for k = 0..6"),
+    ("is_e_positive", lambda f: lambda x: EPositivityReport(False, (((2, 2, 2), -1),)),
+     "e-positive: NO, e.g. coefficient -1 at (2, 2, 2)"),
+])
+def test_verify_failing_check_gives_the_fail_verdict(name, wrap, line, monkeypatch, capsys):
+    # each route is made wrong in turn; the verdict follows any of them
+    monkeypatch.setattr(engine, name, wrap(getattr(engine, name)))
+    assert main(["verify", "cc:3,3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert line in out
+    assert out[-1] == "verdict: FAIL"
+    assert main(["verify", "cc:3,3", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+def test_verify_claw_is_not_e_positive_and_passes(capsys):
+    # the claw is not e-positive (Stanley 1995), and the edges family
+    # expects nothing, so its negative term is reported but no failure
+    spec = "edges:4;0-1,0-2,0-3"
+    assert main(["verify", spec]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "e-positive: NO, e.g. coefficient -2 at (2, 2)" in out
+    assert out[-1] == "verdict: PASS"
+    assert main(["verify", spec, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["negative_terms"] == [[[2, 2], -2]]
+    assert data["e_positive"] is False and data["passed"] is True
+
+
 def test_verify_resource_bound_exits_one(monkeypatch, capsys):
     # the path on 7 vertices is one chain, which leaves 15 live terms
     monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 14)
@@ -368,6 +402,27 @@ def test_formula_refusal_comes_before_the_graph_is_built(argv, n, monkeypatch, c
     assert captured.out == ""
     assert captured.err == (
         f"error: closed formulas capped at 26 vertices, graph has {n} (2**{n - 1} compositions)\n"
+    )
+
+
+@pytest.mark.parametrize("argv, chain", [
+    (["csf", "theta:1000000,2,2"], "chain 3 of 3 has 999999"),
+    (["verify", "theta:1000000,2,2"], "chain 3 of 3 has 999999"),
+    (["csf", "glambda:3,3,3,3,1000000"], "chain 5 of 5 has 999999"),
+    (["verify", "glambda:3,3,3,3,1000000"], "chain 5 of 5 has 999999"),
+    (["csf", "theta:30000,30000,30000"], "chain 1 of 3 has 29999"),
+])
+def test_chain_refusal_comes_before_the_graph_is_built(argv, chain, monkeypatch, capsys):
+    def build(spec):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(cli, "build_graph", build)
+    monkeypatch.setattr(engine, "build_graph", build)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: oracle transfer capped at 44 inner vertices per chain, {chain}\n"
     )
 
 

@@ -191,22 +191,29 @@ def test_weight_flags_mark_the_nonzero_weights_in_stream_order(n):
     assert sum(flags) == _fibonacci(n)
 
 
-def test_weight_flags_split_long_zero_runs(monkeypatch):
-    # a zero run longer than one repeat() may count is split in halves;
-    # a small run cap takes that route at sizes that can be listed.  The
-    # byte strings start from their two bases, so the first call builds
-    # all of them at once.
+def test_weight_flags_are_read_off_composition_weight(monkeypatch):
+    # the flags state no zero rule of their own: under another product
+    # over the parts, zero also when a later part is 2, they follow it.
+    # The flag rows are built with the tails, so both start over.
     import chromsym.compositions as module
 
-    monkeypatch.setattr(module, "_MAX_RUN", 2)
-    monkeypatch.setattr(module, "_FLAGS", [b"\1", b"\1\0"])
-    for n in range(16, 0, -1):
-        assert list(weight_flags(n)) == [int(composition_weight(c) != 0)
-                                         for c in compositions(n)]
+    def weight(comp):
+        w = comp[0]
+        for p in comp[1:]:
+            w *= (p - 1) * (p - 2)
+        return w
+
+    monkeypatch.setattr(module, "composition_weight", weight)
+    monkeypatch.setattr(module, "_TAILS", [()])
+    monkeypatch.setattr(module, "_FLAGS", [(b"", b"")])
+    for n in range(1, 15):
+        flags = list(weight_flags(n))
+        assert flags == [int(weight(c) != 0) for c in compositions(n)]
+    assert sum(flags) < _fibonacci(14)
 
 
 def test_weight_flags_head_of_a_huge_n_comes_at_once():
-    # as for compositions(3000), only the pieces on the way to the first
+    # as for compositions(3000), only the blocks on the way to the first
     # one are walked; the runs of up to 2**2997 zeros behind them are
     # neither counted nor listed
     code = (

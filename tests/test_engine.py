@@ -21,6 +21,7 @@ import chromsym.symfunc as symfunc
 from chromsym.compositions import chord_weight, surplus
 from chromsym.engine import (
     ThetaScanRow,
+    check_oracle_chains,
     csf_cycle,
     csf_cycle_chord,
     csf_oracle,
@@ -35,6 +36,7 @@ from chromsym.graphs import (
     Graph,
     GraphSpec,
     ResourceLimitError,
+    build_graph,
     cycle_chord_graph,
     cycle_graph,
     multipath_graph,
@@ -42,7 +44,7 @@ from chromsym.graphs import (
     tadpole_graph,
     theta_graph,
 )
-from chromsym.symfunc import Basis, SymFunc, monomial, p_to_e, render_latex
+from chromsym.symfunc import Basis, SymFunc, p_to_e, render_latex
 import reference
 from reference import (
     aggregate_every_composition,
@@ -50,6 +52,7 @@ from reference import (
     csf_by_edge_subsets,
     csf_by_edge_transfer,
     csf_cycle_chord_signed,
+    monomial,
     signed_chord_weight,
     triple_split_graphs,
 )
@@ -274,6 +277,23 @@ def test_oracle_caps_the_free_middle_tables(monkeypatch):
         csf_oracle(path_graph(7))
     monkeypatch.setattr(engine, "_CHAIN_MAX_INNER", 5)
     assert csf_oracle(path_graph(7)) == csf_path(7)
+
+
+@pytest.mark.parametrize("lengths", [(5, 3, 2), (2, 7, 3), (6, 3, 2, 1), (3, 3, 3, 3, 6)])
+def test_spec_chain_check_gives_the_oracle_refusal(lengths, monkeypatch):
+    # three or more paths between two hubs are the graph's chains, taken
+    # in ascending length, so the spec alone gives the oracle's message;
+    # one or two paths make one chain, left to the formulas' size cap
+    spec = GraphSpec(Family.MULTIPATH, lengths)
+    monkeypatch.setattr(engine, "_CHAIN_MAX_INNER", max(lengths) - 1)
+    check_oracle_chains(spec)
+    check_oracle_chains(GraphSpec(Family.MULTIPATH, (1000, 999)))
+    monkeypatch.setattr(engine, "_CHAIN_MAX_INNER", max(lengths) - 2)
+    with pytest.raises(ResourceLimitError) as built:
+        csf_oracle(build_graph(spec))
+    with pytest.raises(ResourceLimitError) as early:
+        check_oracle_chains(spec)
+    assert str(early.value) == str(built.value)
 
 
 def test_oracle_crosses_block_boundary():

@@ -34,7 +34,6 @@ from chromsym.symfunc import (
     EPositivityReport,
     SymFunc,
     is_e_positive,
-    monomial,
     p_to_e,
     principal_specialization,
     render_latex,
@@ -44,6 +43,7 @@ from chromsym.symfunc import (
 )
 from reference import (
     from_json_dict,
+    monomial,
     multiply_by_sorting,
     power_image_by_newton,
     principal_specialization_by_parts,
@@ -211,7 +211,8 @@ def test_pack_multiplicity_fills_its_digit():
 def test_packed_product_matches_sorting_joined_parts(f, g, scale):
     w = _width(_degree(f) + _degree(g))
     packed: dict[int, int] = {}
-    _multiply_into(packed, _packed(f, w), _packed(g, w), scale)
+    scaled = {lam: scale * c for lam, c in f.items()}
+    _multiply_into(packed, _packed(scaled, w), _packed(g, w))
     joined: dict[tuple[int, ...], int] = {}
     multiply_by_sorting(joined, f, g, scale)
     nonzero = {lam: c for lam, c in joined.items() if c}
