@@ -19,6 +19,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .compositions import Partition
+from .graphs import ResourceLimitError
 
 
 class Basis(Enum):
@@ -210,6 +211,12 @@ def _multiply_into(out: dict[int, int], f: Mapping[int, int], g: Mapping[int, in
 
 # ------------------------------------------------------- basis conversion
 
+# Terms one accumulator of p_to_e may hold after a product into it.  At
+# degree n it holds at most the p(n) partitions of n: p(41) = 44 583
+# fits (a 41-cycle, 5.5 s and 85 MB on a 2-CPU host), p(42) = 53 174
+# does not, and 48 paths of length 2 in glambda make 204 226 in 42 s.
+_P_TO_E_MAX_TERMS = 50_000
+
 # Per-process tables on packed keys, one pair per digit width w: the
 # signed arrangement counts A_0, A_1, ... and the elementary images of
 # the power sums p_0, p_1, ....  A_r holds every partition of r, so a
@@ -272,8 +279,12 @@ def p_to_e(f: SymFunc) -> SymFunc:
     that share a prefix of parts come together, so one packed
     e-accumulator per part of the current prefix suffices: when the
     walk leaves a part k, its accumulator is multiplied by the image of
-    p_k into the one below.  The stack is explicit, so a term with
-    thousands of parts stays off the interpreter's recursion limit.
+    p_k into the one below.  Parts equal to 1 never enter the walk:
+    p_1 = e_1, so a trailing run of m ones adds to key m (e_1^m) where
+    the other parts lead, a key a deeper term may already hold.  The
+    stack is explicit, so a term with thousands of parts stays off the
+    interpreter's recursion limit.  ResourceLimitError once a product
+    leaves an accumulator with more than _P_TO_E_MAX_TERMS terms.
     """
     if f.basis is not Basis.POWERSUM:
         raise ValueError("p_to_e expects a power-sum-basis input")
@@ -286,10 +297,17 @@ def p_to_e(f: SymFunc) -> SymFunc:
 
     def leave(depth: int) -> None:
         while len(prefix) > depth:
-            acc = stack.pop()
-            _multiply_into(stack[-1], images[prefix.pop()], acc)
+            acc, below = stack.pop(), stack[-1]
+            _multiply_into(below, images[prefix.pop()], acc)
+            if len(below) > _P_TO_E_MAX_TERMS:
+                raise ResourceLimitError(
+                    f"p_to_e capped at {_P_TO_E_MAX_TERMS} accumulator terms, "
+                    f"a product made {len(below)}"
+                )
 
     for lam, c in terms:
+        ones = lam.count(1)
+        lam = lam[:len(lam) - ones]
         depth = 0
         for have, part in zip(prefix, lam):
             if have != part:
@@ -299,7 +317,8 @@ def p_to_e(f: SymFunc) -> SymFunc:
         for part in lam[depth:]:
             prefix.append(part)
             stack.append({})
-        stack[-1][0] = c  # what the walk folded in here has a part
+        acc = stack[-1]  # e_1^ones, which a deeper term may already hold
+        acc[ones] = acc.get(ones, 0) + c
     leave(0)
     return SymFunc._trusted(Basis.ELEMENTARY, _unpacked(stack[0], w))
 

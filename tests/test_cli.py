@@ -457,6 +457,19 @@ def test_long_chain_table_bound_exits_one():
     )
 
 
+@pytest.mark.parametrize("command", ["csf", "verify"])
+def test_conversion_term_bound_exits_one(command):
+    # 40 paths of length 2: the transfer leaves 442 p-terms, and the
+    # conversion's root would hold all 53 174 partitions of 42
+    capped = run_module(command, "glambda:" + ",".join(["2"] * 40),
+                        capture_output=True, timeout=60)
+    assert capped.returncode == 1
+    assert capped.stdout == ""
+    assert capped.stderr == (
+        "error: p_to_e capped at 50000 accumulator terms, a product made 53174\n"
+    )
+
+
 @pytest.mark.parametrize("argv, message", [
     (["csf", "tadpole:2,30"], "tadpole cycle needs at least 3 vertices, got 2"),
     (["csf", "theta:30,1,1"], "at most one path may have length 1"),

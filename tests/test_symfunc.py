@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chromsym
 import chromsym.symfunc as symfunc
 from chromsym.cli import parse_graph_spec
 from chromsym.compositions import partitions
@@ -253,6 +254,16 @@ def test_power_image_matches_newton_recurrence(monkeypatch):
             assert SymFunc(E, _unpacked(images[m], w)) == power_image_by_newton(m), (w, m)
 
 
+def _newton_product(terms):
+    expected = SymFunc.zero(E)
+    for lam, c in terms.items():
+        product = monomial(E, (), c)
+        for part in lam:
+            product = product * power_image_by_newton(part)
+        expected = expected + product
+    return expected
+
+
 def _at_most_twelve(parts):
     kept = []
     for part in parts:
@@ -263,19 +274,19 @@ def _at_most_twelve(parts):
 
 @settings(max_examples=60, deadline=None)
 @example({(): 3})
+# runs of ones that end terms sharing the parts above 1; p_2 leaves
+# e_1^2 at the key where p_1^2 then adds
+@example({(3, 2): 1, (3, 1, 1): 1})
+@example({(2, 1): 1, (1, 1, 1): 1})
+@example({(2,): 1, (1, 1): 1})
+@example({(3, 2, 1): 2, (3, 2): -1, (3, 1, 1, 1): 5, (3, 1, 1): 3, (3,): 1, (1,): -4})
 @given(st.dictionaries(
     st.lists(st.integers(1, 12), max_size=12).map(_at_most_twelve),
     st.integers(-20, 20),
     max_size=8,
 ))
 def test_p_to_e_is_the_product_of_newton_images(terms):
-    expected = SymFunc.zero(E)
-    for lam, c in terms.items():
-        product = monomial(E, (), c)
-        for part in lam:
-            product = product * power_image_by_newton(part)
-        expected = expected + product
-    assert p_to_e(SymFunc(P, terms)) == expected
+    assert p_to_e(SymFunc(P, terms)) == _newton_product(terms)
 
 
 class _CappedTable(list):
@@ -351,6 +362,56 @@ def test_p_to_e_of_a_term_with_hundreds_of_parts():
     expected = {(2,) * j + (1,) * (1200 - 2 * j): comb(600, j) * (-2) ** j
                 for j in range(601)}
     assert image == SymFunc(E, expected)
+
+
+# few shapes of parts above 1, so terms share them and differ in their
+# runs of ones
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(
+    st.tuples(st.lists(st.integers(2, 4), max_size=3), st.integers(0, 8)).map(
+        lambda pair: tuple(sorted(pair[0], reverse=True)) + (1,) * pair[1]
+    ),
+    st.integers(-20, 20),
+    max_size=10,
+))
+def test_p_to_e_with_many_parts_equal_to_one(terms):
+    assert p_to_e(SymFunc(P, terms)) == _newton_product(terms)
+
+
+def test_p_to_e_of_p1_power_is_e1_power():
+    assert p_to_e(monomial(P, (1,) * 600, -3)) == monomial(E, (1,) * 600, -3)
+
+
+def _peak_accumulator(monkeypatch):
+    peak = [0]
+
+    def multiply_into(out, f, g):
+        _multiply_into(out, f, g)
+        peak[0] = max(peak[0], len(out))
+
+    monkeypatch.setattr(symfunc, "_multiply_into", multiply_into)
+    return peak
+
+
+def test_p_to_e_just_under_its_term_budget_converts(monkeypatch):
+    # p_6^13: the root accumulator ends with 48 244 terms
+    peak = _peak_accumulator(monkeypatch)
+    image = p_to_e(monomial(P, (6,) * 13))
+    assert 45_000 < peak[0] <= symfunc._P_TO_E_MAX_TERMS
+    for k in range(4):
+        assert principal_specialization(image, k) == k ** 13
+
+
+def test_p_to_e_refuses_past_its_term_budget(monkeypatch):
+    # p_6^14 would end with 66 844 terms; the last product is refused
+    peak = _peak_accumulator(monkeypatch)
+    with pytest.raises(chromsym.ResourceLimitError) as exc:
+        p_to_e(monomial(P, (6,) * 14))
+    assert str(exc.value) == (
+        f"p_to_e capped at {symfunc._P_TO_E_MAX_TERMS} accumulator terms, "
+        f"a product made {peak[0]}"
+    )
+    assert symfunc.ResourceLimitError is chromsym.ResourceLimitError
 
 
 # ------------------------------------------------------------ positivity
