@@ -37,7 +37,6 @@ from .graphs import (
     check_memo_edges,
     check_stable_vertices,
     count_proper_colorings,
-    graph_size,
     is_nice,
     render_graph_spec,
 )
@@ -54,19 +53,23 @@ class SpecParseError(ValueError):
         super().__init__(f"{reason} (column {pos + 1} of {text!r})")
 
 
-def _parse_int(text: str, pos: int, token: str) -> int:
-    if not (token.isascii() and token.isdigit()):
-        raise SpecParseError(text, pos, f"expected a nonnegative integer, got {token!r}")
+_KINDS = ("nonnegative", "positive")  # named by the least value allowed
+
+
+def _parse_int(text: str, pos: int, token: str, low: int = 0) -> int:
+    # ASCII digits only: int() would also take '+3', ' 3' or '\u0663'
+    if not (token.isascii() and token.isdigit()) or int(token) < low:
+        raise SpecParseError(text, pos, f"expected a {_KINDS[low]} integer, got {token!r}")
     return int(token)
 
 
-def _parse_int_list(text: str, pos: int, body: str) -> tuple[int, ...]:
+def _parse_int_list(text: str, pos: int, body: str, low: int = 0) -> tuple[int, ...]:
     if not body:
         raise SpecParseError(text, pos, "expected at least one integer parameter")
     out = []
     offset = pos
     for token in body.split(","):
-        out.append(_parse_int(text, offset, token))
+        out.append(_parse_int(text, offset, token, low))
         offset += len(token) + 1
     return tuple(out)
 
@@ -74,8 +77,8 @@ def _parse_int_list(text: str, pos: int, body: str) -> tuple[int, ...]:
 def parse_graph_spec(text: str) -> GraphSpec:
     """Parse the spec grammar; trailing whitespace is ignored.
 
-    Errors carry the offending column.  Parameter domain checks (arc
-    lengths, vertex ranges) happen when the graph is built, not here.
+    Errors carry the offending column.  The family's parameter rules
+    (arc lengths, vertex ranges) are GraphSpec's, checked as it is made.
     """
     s = text.rstrip()
     colon = s.find(":")
@@ -113,21 +116,15 @@ def parse_graph_spec(text: str) -> GraphSpec:
 
 def parse_composition(text: str) -> Composition:
     s = text.rstrip()
-    comp = _parse_int_list(s, 0, s)
-    offset = 0
-    for token, part in zip(s.split(","), comp):
-        if part < 1:
-            raise SpecParseError(s, offset, "composition parts must be positive")
-        offset += len(token) + 1
-    return comp
+    return _parse_int_list(s, 0, s, low=1)
 
 
 # -------------------------------------------------------------- commands
 
 def cmd_csf(args) -> int:
     spec = parse_graph_spec(args.graph)
-    # the family's parameter rules, the formulas' size cap and the
-    # oracle's chain cap all come before the graph is built
+    # the spec has passed its family's rules; the formulas' size cap and
+    # the oracle's chain cap both come before the graph is built
     x = closed_formula(spec)
     source = "formula"
     if x is None:
@@ -288,7 +285,7 @@ def cmd_scan_theta(args) -> int:
 
 def cmd_nice(args) -> int:
     spec = parse_graph_spec(args.graph)
-    check_stable_vertices(graph_size(spec)[0])
+    check_stable_vertices(FAMILIES[spec.family].size(spec)[0])
     graph = build_graph(spec)
     ok, witness = is_nice(graph)
     if args.format == "json":
@@ -309,7 +306,7 @@ def cmd_nice(args) -> int:
 
 def cmd_chrompoly(args) -> int:
     spec = parse_graph_spec(args.graph)
-    check_memo_edges(graph_size(spec)[1])
+    check_memo_edges(FAMILIES[spec.family].size(spec)[1])
     graph = build_graph(spec)
     counts = [count_proper_colorings(graph, k) for k in range(graph.n + 1)]
     # Python refuses to write an int of more than 4300 digits, to keep
@@ -341,18 +338,19 @@ def _add_format(sub, *, latex: bool) -> None:
                      help="output format (default: text)")
 
 
-def _ascii_int(text: str, low: int, kind: str) -> int:
-    if not (text.isascii() and text.isdigit()) or int(text) < low:
-        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
-    return int(text)
+def _ascii_int(text: str, low: int) -> int:
+    try:
+        return _parse_int(text, 0, text, low)
+    except SpecParseError as exc:
+        raise argparse.ArgumentTypeError(exc.reason) from None
 
 
 def _positive_int(text: str) -> int:
-    return _ascii_int(text, 1, "positive")
+    return _ascii_int(text, 1)
 
 
 def _nonnegative_int(text: str) -> int:
-    return _ascii_int(text, 0, "nonnegative")
+    return _ascii_int(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:

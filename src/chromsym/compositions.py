@@ -158,27 +158,26 @@ class SplitParams(NamedTuple):
     t: int
 
 
+def _locate(parts: Composition, x: int) -> tuple[int, int]:
+    # the part x falls in, counted from 1, and x's offset inside it
+    acc = 0
+    for idx, part in enumerate(parts, start=1):
+        if acc + part >= x:
+            return idx, x - acc
+        acc += part
+
+
 def split_params(comp: Composition, b: int) -> SplitParams:
-    """Locate b in [1, n-1] inside comp by both prefix-sum readings."""
+    """Locate b in [1, n-1] inside comp by both prefix-sum readings.
+
+    (q + 1, t) is where b + i_1 falls in i_1, ..., i_z, i_1, the tiling
+    that segment_dissection draws."""
     n = sum(comp)
     if not 1 <= b <= n - 1:
         raise ValueError(f"cut point must lie in [1, {n - 1}], got {b}")
-    z = len(comp)
-    acc = 0
-    for p, part in enumerate(comp, start=1):
-        if acc + part >= b:
-            s = b - acc
-            break
-        acc += part
-    acc = 0
-    for q in range(1, z + 1):
-        # part q+1 in the rotated reading, cyclically
-        nxt = comp[q % z]
-        if acc + nxt >= b:
-            t = b - acc
-            break
-        acc += nxt
-    return SplitParams(p, s, q, t)
+    p, s = _locate(comp, b)
+    q, t = _locate(comp + comp[:1], b + comp[0])
+    return SplitParams(p, s, q - 1, t)
 
 
 def e2_sym(values) -> int:

@@ -72,7 +72,7 @@ class Graph(_GraphFields):
 
 # ---------------------------------------------------------- constructors
 
-# Each family's parameter rules, run by its builder and by its FamilyRow
+# Each family's parameter rules, run by its builder and by GraphSpec
 def _check_path(n: int) -> None:
     if n < 1:
         raise ValueError(f"path needs at least one vertex, got {n}")
@@ -194,11 +194,13 @@ class _GraphSpecFields(NamedTuple):
 
 class GraphSpec(_GraphSpecFields):
     """Parsed description of a graph: a family plus its parameters,
-    checked against the family's arity on construction.
+    checked on construction against the family's arity and its rules,
+    so every spec can be built.
 
     For EDGES, params holds just the vertex count and edge_list the
-    explicit edges.  THETA and MULTIPATH params are canonicalized to
-    weakly decreasing order so equal descriptions compare equal.
+    explicit edges, normalized and sorted as Graph stores them.  THETA
+    and MULTIPATH params are canonicalized to weakly decreasing order so
+    equal descriptions compare equal.
     """
 
     __slots__ = ()
@@ -211,10 +213,11 @@ class GraphSpec(_GraphSpecFields):
                              f"parameter(s), got {len(params)}")
         if row.path_lengths:
             params = tuple(sorted(params, reverse=True))
-        if edge_list:
-            if not row.explicit_edges:
-                raise ValueError("explicit edges only make sense for the edges family")
-            edge_list = tuple(sorted(_normalize_edge(e) for e in edge_list))
+        if row.explicit_edges:
+            edge_list = _checked_edges(params[0], edge_list)
+        elif edge_list:
+            raise ValueError("explicit edges only make sense for the edges family")
+        row.check(*params)
         return super().__new__(cls, family, params, edge_list)
 
 
@@ -222,13 +225,14 @@ class FamilyRow(NamedTuple):
     """Everything the package knows about one family keyword.
 
     arity is None when variadic.  check raises the builder's ValueError
-    for params it rejects, without building the graph, and size gives
-    the vertex and edge counts of the graph it builds.  formula gives
-    the name of the engine's closed-form evaluator covering the params
-    and its arguments, or None when only the oracle can answer.
-    e_positive says whether e-positivity is established, making a
-    negative coefficient a hard failure.  path_lengths params are
-    unordered; only an explicit_edges spec carries an edge list.
+    for params it rejects, and GraphSpec runs it on construction, so
+    size can give the vertex and edge counts of the graph a spec builds
+    without building it.  formula gives the name of the engine's
+    closed-form evaluator covering the params and its arguments, or
+    None when only the oracle can answer.  e_positive says whether
+    e-positivity is established, making a negative coefficient a hard
+    failure.  path_lengths params are unordered; only an explicit_edges
+    spec carries an edge list.
     """
 
     arity: int | None
@@ -285,13 +289,6 @@ def _multipath_size(spec: GraphSpec) -> tuple[int, int]:
     return sum(lengths) - len(lengths) + 2, sum(lengths)
 
 
-def _edges_size(spec: GraphSpec) -> tuple[int, int]:
-    # the edge list is the spec itself, so it is checked as the builder
-    # checks it, and a bad edge stays a ValueError before any size cap
-    n = spec.params[0]
-    return n, len(_checked_edges(n, spec.edge_list))
-
-
 _MULTIPATH = FamilyRow(None, lambda spec: multipath_graph(spec.params), _check_lengths,
                        _multipath_size, _multipath_formula, _multipath_positive,
                        path_lengths=True)
@@ -311,21 +308,13 @@ FAMILIES: dict[Family, FamilyRow] = {
     Family.THETA: _MULTIPATH._replace(arity=3),
     Family.MULTIPATH: _MULTIPATH,
     Family.EDGES: FamilyRow(1, lambda spec: Graph(spec.params[0], spec.edge_list),
-                            lambda n: None, _edges_size, lambda p: None, lambda p: False,
-                            explicit_edges=True),
+                            lambda n: None, lambda spec: (spec.params[0], len(spec.edge_list)),
+                            lambda p: None, lambda p: False, explicit_edges=True),
 }
 
 
 def build_graph(spec: GraphSpec) -> Graph:
     return FAMILIES[spec.family].build(spec)
-
-
-def graph_size(spec: GraphSpec) -> tuple[int, int]:
-    """Vertex and edge counts of build_graph(spec), without building it.
-    Params the builder rejects raise its ValueError first."""
-    row = FAMILIES[spec.family]
-    row.check(*spec.params)
-    return row.size(spec)
 
 
 def render_graph_spec(spec: GraphSpec) -> str:

@@ -214,7 +214,7 @@ def _multiply_into(out: dict[int, int], f: Mapping[int, int], g: Mapping[int, in
 # Terms one accumulator of p_to_e may hold after a product into it.  At
 # degree n it holds at most the p(n) partitions of n: p(41) = 44 583
 # fits (a 41-cycle, 5.5 s and 85 MB on a 2-CPU host), p(42) = 53 174
-# does not, and 48 paths of length 2 in glambda make 204 226 in 42 s.
+# does not, nor does the image of p_42, which has as many terms.
 _P_TO_E_MAX_TERMS = 50_000
 
 # Per-process tables on packed keys, one pair per digit width w: the
@@ -284,14 +284,25 @@ def p_to_e(f: SymFunc) -> SymFunc:
     the other parts lead, a key a deeper term may already hold.  The
     stack is explicit, so a term with thousands of parts stays off the
     interpreter's recursion limit.  ResourceLimitError once a product
-    leaves an accumulator with more than _P_TO_E_MAX_TERMS terms.
+    leaves an accumulator with more than _P_TO_E_MAX_TERMS terms; one by
+    the image of p_k leaves at least its p(k) terms, as many as A_k has,
+    so A_k is grown one part at a time and the first past the budget is
+    refused before any image, product or larger table.
     """
     if f.basis is not Basis.POWERSUM:
         raise ValueError("p_to_e expects a power-sum-basis input")
     terms = sorted(f._terms.items(), reverse=True)
     w = _width(_degree(f._terms))
     # the first partition in descending order holds the largest part
-    images = _image_table(w, terms[0][0][0] if terms and terms[0][0] else 0)
+    top = terms[0][0][0] if terms and terms[0][0] else 0
+    for k in range(top + 1):
+        size = len(_arrangement_table(w, k)[k])
+        if size > _P_TO_E_MAX_TERMS:
+            raise ResourceLimitError(
+                f"p_to_e capped at {_P_TO_E_MAX_TERMS} accumulator terms, "
+                f"the image of p_{k} has {size}"
+            )
+    images = _image_table(w, top)
     prefix: list[int] = []
     stack: list[dict[int, int]] = [{}]
 

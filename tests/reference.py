@@ -2,8 +2,9 @@
 
 Each function here recomputes something by a different argument than
 the production code: the compositions decoded from their cut
-bitmasks, the signed chord weight, the segment picture of the chord
-weight, Newton's recurrence for the power sums, Stanley's edge-subset
+bitmasks, the two readings of a cut point by two separate walks, the
+signed chord weight, the segment picture of the chord weight, Newton's
+recurrence for the power sums, Stanley's edge-subset
 sum one subset at a time and carried edge by edge, products by sorting
 joined partitions, the chromatic polynomial by deletion-contraction
 alone, the composition sums with every weight multiplied out, the
@@ -22,6 +23,7 @@ from typing import Iterator, Mapping, Sequence
 from chromsym.compositions import (
     Composition,
     Partition,
+    SplitParams,
     _check_point,
     e2_sym,
     segment_dissection,
@@ -82,6 +84,31 @@ def deficiency(comp: Composition, a: int) -> int:
             break
         acc += p
     return a - acc
+
+
+def split_params_by_two_loops(comp: Composition, b: int) -> SplitParams:
+    """split_params by one walk over the parts for (p, s) and a second
+    over the rotated parts i_2, ..., i_z, i_1, by a cyclic index, for
+    (q, t)."""
+    n = sum(comp)
+    if not 1 <= b <= n - 1:
+        raise ValueError(f"cut point must lie in [1, {n - 1}], got {b}")
+    z = len(comp)
+    acc = 0
+    for p, part in enumerate(comp, start=1):
+        if acc + part >= b:
+            s = b - acc
+            break
+        acc += part
+    acc = 0
+    for q in range(1, z + 1):
+        # part q+1 in the rotated reading, cyclically
+        nxt = comp[q % z]
+        if acc + nxt >= b:
+            t = b - acc
+            break
+        acc += nxt
+    return SplitParams(p, s, q, t)
 
 
 def chord_weight_by_segments(comp: Composition, b: int) -> int:

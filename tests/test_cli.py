@@ -459,14 +459,14 @@ def test_long_chain_table_bound_exits_one():
 
 @pytest.mark.parametrize("command", ["csf", "verify"])
 def test_conversion_term_bound_exits_one(command):
-    # 40 paths of length 2: the transfer leaves 442 p-terms, and the
-    # conversion's root would hold all 53 174 partitions of 42
+    # 40 paths of length 2: the transfer leaves 442 p-terms, one of them
+    # p_42, whose image holds all 53 174 partitions of 42
     capped = run_module(command, "glambda:" + ",".join(["2"] * 40),
                         capture_output=True, timeout=60)
     assert capped.returncode == 1
     assert capped.stdout == ""
     assert capped.stderr == (
-        "error: p_to_e capped at 50000 accumulator terms, a product made 53174\n"
+        "error: p_to_e capped at 50000 accumulator terms, the image of p_42 has 53174\n"
     )
 
 
@@ -698,6 +698,17 @@ def test_size_bounds_come_after_the_parameter_rules(capsys):
     assert main(["nice", "edges:20;0-30"]) == 2
     assert "out of range" in capsys.readouterr().err
     assert main(["chrompoly", "tadpole:2,600000"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["nice", "edges:3;0-5"], "edge (0, 5) out of range for n=3"),
+    (["chrompoly", "edges:3;0-1,0-1"], "duplicate edge (0, 1)"),
+])
+def test_bad_edges_are_usage_errors_when_the_spec_is_made(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_chrompoly_prints_counts_past_the_digit_cap(capsys):

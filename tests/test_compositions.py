@@ -38,6 +38,7 @@ from reference import (
     deficiency,
     reverse,
     reverse_tail,
+    split_params_by_two_loops,
 )
 
 
@@ -372,6 +373,14 @@ def test_split_params_against_oracle(n):
     for comp in compositions(n):
         for b in range(1, n):
             assert split_params(comp, b) == split_params_oracle(comp, b)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_split_params_matches_the_two_loop_walk(n):
+    # the one locate, rotated by adding i_1, against the cyclic walk
+    for comp in compositions(n):
+        for b in range(1, n):
+            assert split_params(comp, b) == split_params_by_two_loops(comp, b)
 
 
 @pytest.mark.parametrize("n", range(2, 10))

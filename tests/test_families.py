@@ -1,10 +1,12 @@
-"""Property tests over the family table: every row's spec survives the
-text grammar, its closed formula (when it names one) equals the
-edge-subset oracle exactly, and a family whose e-positivity is
-established yields an e-positive oracle."""
+"""Property tests over the family table: a spec is made exactly when
+its family's builder builds, every row's spec survives the text
+grammar, its closed formula (when it names one) equals the edge-subset
+oracle exactly, and a family whose e-positivity is established yields
+an e-positive oracle."""
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,10 +15,16 @@ from chromsym.engine import closed_formula, csf_oracle
 from chromsym.graphs import (
     FAMILIES,
     Family,
+    Graph,
     GraphSpec,
     build_graph,
-    graph_size,
+    cycle_chord_graph,
+    cycle_graph,
+    multipath_graph,
+    path_graph,
     render_graph_spec,
+    tadpole_graph,
+    theta_graph,
 )
 from chromsym.symfunc import is_e_positive
 
@@ -57,8 +65,47 @@ SPECS = {
 specs = st.sampled_from(list(SPECS)).flatmap(SPECS.__getitem__)
 
 
+# the public builders, called with raw ints as a library caller would
+BUILDERS = {
+    Family.PATH: lambda params, edges: path_graph(*params),
+    Family.CYCLE: lambda params, edges: cycle_graph(*params),
+    Family.TADPOLE: lambda params, edges: tadpole_graph(*params),
+    Family.CYCLE_CHORD: lambda params, edges: cycle_chord_graph(*params),
+    Family.THETA: lambda params, edges: theta_graph(*params),
+    Family.MULTIPATH: lambda params, edges: multipath_graph(params),
+    Family.EDGES: lambda params, edges: Graph(*params, edges),
+}
+
+
 def test_every_row_has_a_strategy():
-    assert set(SPECS) == set(FAMILIES) == set(Family)
+    assert set(SPECS) == set(FAMILIES) == set(Family) == set(BUILDERS)
+
+
+@st.composite
+def _raw_spec(draw):
+    # params from 0..6 at the row's arity, so that invalid ones occur;
+    # an edges spec gets loops, repeats and edges out of range too
+    family = draw(st.sampled_from(list(Family)))
+    arity = FAMILIES[family].arity
+    params = draw(st.lists(st.integers(0, 6), min_size=arity or 0, max_size=arity or 5))
+    edges = []
+    if FAMILIES[family].explicit_edges:
+        edges = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=6))
+    return family, tuple(params), tuple(edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_raw_spec())
+def test_a_spec_is_made_exactly_when_its_builder_builds(raw):
+    family, params, edges = raw
+    try:
+        graph = BUILDERS[family](params, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as made:
+            GraphSpec(family, params, edges)
+        assert str(made.value) == str(exc)
+    else:
+        assert build_graph(GraphSpec(family, params, edges)) == graph
 
 
 @settings(max_examples=200, deadline=None)
@@ -71,7 +118,7 @@ def test_spec_round_trips_through_text(spec):
 @given(specs)
 def test_size_counts_the_built_graph(spec):
     graph = build_graph(spec)
-    assert graph_size(spec) == (graph.n, graph.m)
+    assert FAMILIES[spec.family].size(spec) == (graph.n, graph.m)
 
 
 @settings(max_examples=150, deadline=None)

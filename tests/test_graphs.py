@@ -212,6 +212,20 @@ def test_graph_spec_rejects_stray_edges():
         GraphSpec(Family.PATH, (4,), ((0, 1),))
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (3, ((1, 1),), "loops are not allowed: vertex 1"),
+    (3, ((0, 5),), "edge (0, 5) out of range for n=3"),
+    (3, ((0, 1), (1, 0)), "duplicate edge (0, 1)"),
+    (0, (), "graph needs at least one vertex, got n=0"),
+])
+def test_edges_spec_is_checked_when_made(n, edges, message):
+    with pytest.raises(ValueError) as made:
+        GraphSpec(Family.EDGES, (n,), edges)
+    with pytest.raises(ValueError) as built:
+        Graph(n, edges)
+    assert str(made.value) == str(built.value) == message
+
+
 # ------------------------------------------------------------- colorings
 
 def test_component_partition():
