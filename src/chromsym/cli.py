@@ -22,7 +22,7 @@ from typing import Sequence
 from .compositions import Composition, chord_weight, segment_dissection, split_params
 from .engine import (
     VerificationReport,
-    check_oracle_chains,
+    check_conversion_table,
     closed_formula,
     csf_oracle,
     scan_theta,
@@ -124,11 +124,11 @@ def parse_composition(text: str) -> Composition:
 def cmd_csf(args) -> int:
     spec = parse_graph_spec(args.graph)
     # the spec has passed its family's rules; the formulas' size cap and
-    # the oracle's chain cap both come before the graph is built
+    # the conversion's table budget both come before the graph is built
     x = closed_formula(spec)
     source = "formula"
     if x is None:
-        check_oracle_chains(spec)
+        check_conversion_table(spec)
         x = csf_oracle(build_graph(spec))
         source = "oracle"
     if args.format == "json":

@@ -10,8 +10,8 @@ per-family coefficient on top.  The oracle recomputes any graph's
 function from scratch from Stanley's signed sum over edge subsets,
 carried across the graph's chains between branch vertices by one
 frontier transfer instead of enumerated, and bounded by the live terms
-the transfer makes and the inner vertices of each chain rather than by
-the edge count.  verify, csf without a closed formula, and every theta
+the transfer makes and by the shared table's budget rather than by the
+edge count.  verify, csf without a closed formula, and every theta
 scan cell all reach the transfer through csf_oracle on a built graph.
 The oracle shares no code path with the formulas; it shares only
 p_to_e, its packed partition keys, and symfunc's per-width table of
@@ -66,14 +66,6 @@ from .symfunc import (
 # G(15, 1/2) peaking at 499 186 terms, took 11 s and 111 MB on a 2-CPU
 # host; a refused 52-edge G(15, 1/2) stopped after 17 s at 462 MB.
 _ORACLE_MAX_STATES = 500_000
-
-# Inner vertices of one chain: its free middles read every partition of
-# up to r vertices for r inner vertices, as many as the live states of a
-# walk along the chain one edge at a time.  The table is built once per
-# process and digit width and shared with p_to_e.  44 inner vertices
-# need 451 501 partitions, about 1 s to build on a 2-CPU host; 45 would
-# need 540 635.
-_CHAIN_MAX_INNER = 44
 
 # The formulas visit all 2**(n-1) compositions of n; at n = 26 that is
 # 2**25 of them, 6 to 7 s per family on a 2-CPU host.
@@ -248,22 +240,17 @@ def _cut_terms(sizes, slots, r: int, free, base: int, w: int) -> dict[int, int]:
     return terms
 
 
-def _check_chains(interior: list[int]) -> None:
-    # the inner-vertex counts of the chains, in the transfer's order
-    for idx, r in enumerate(interior):
-        if r > _CHAIN_MAX_INNER:
-            raise ResourceLimitError(
-                f"oracle transfer capped at {_CHAIN_MAX_INNER} inner vertices per chain, "
-                f"chain {idx + 1} of {len(interior)} has {r}"
-            )
-
-
-def check_oracle_chains(spec: GraphSpec) -> None:
-    """Refuse, before the graph is built, a spec whose chains csf_oracle
-    would refuse.  The chains of three or more paths between two hubs
-    are the paths, which the transfer takes in ascending length."""
-    if FAMILIES[spec.family].path_lengths and len(spec.params) > 2:
-        _check_chains(sorted(p - 1 for p in spec.params))
+def check_conversion_table(spec: GraphSpec) -> None:
+    """Refuse, before the graph is built, a spec whose function p_to_e
+    would refuse.  Every family but edges builds a connected graph, whose
+    expansion on n vertices has a p_n term (up to sign, its coefficient is
+    its number of spanning trees with no broken circuit, Stanley 1995), so
+    p_to_e grows the table to A_n at width _width(n) anyway; this grows it
+    first."""
+    row = FAMILIES[spec.family]
+    if not row.explicit_edges:
+        n = row.size(spec)[0]
+        _arrangement_table(_width(n), n)
 
 
 def csf_oracle(graph: Graph) -> SymFunc:
@@ -288,8 +275,8 @@ def csf_oracle(graph: Graph) -> SymFunc:
     live vertex, into one cached polynomial per target labels and
     sizes.  The work follows the live terms, so the call refuses once
     a step has made more than _ORACLE_MAX_STATES of them, counted as
-    they are made; before any step, it refuses a chain of more than
-    _CHAIN_MAX_INNER inner vertices.
+    they are made; before any step, the table refuses a chain whose
+    free middles would need an A_r past p_to_e's budget.
     """
     n = graph.n
     chains = _graph_chains(graph)
@@ -300,7 +287,6 @@ def csf_oracle(graph: Graph) -> SymFunc:
     for idx, (u, v, _) in enumerate(chains):
         last[u] = last[v] = idx
     interior = [r for _, _, r in chains]
-    _check_chains(interior)
     free = _arrangement_table(w, max(interior, default=0))
     budget = _ORACLE_MAX_STATES
     slot_of: dict[int, int] = {}
@@ -445,9 +431,9 @@ def verify(spec: GraphSpec) -> VerificationReport:
 
     Evaluates the closed formula first when the family has one, so a
     size the formulas refuse stops the run before the graph is built, as
-    does a chain the oracle refuses; then always runs the edge-subset
-    oracle, and checks the principal specialization against the
-    independent coloring count at k = 0..n.
+    does a spec whose function p_to_e would refuse; then always runs
+    the edge-subset oracle, and checks the principal specialization
+    against the independent coloring count at k = 0..n.
     """
     timings: dict[str, float] = {}
 
@@ -455,7 +441,7 @@ def verify(spec: GraphSpec) -> VerificationReport:
     formula = closed_formula(spec)
     timings["formula"] = time.perf_counter() - start
 
-    check_oracle_chains(spec)
+    check_conversion_table(spec)
     graph = build_graph(spec)
 
     start = time.perf_counter()

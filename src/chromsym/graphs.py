@@ -34,6 +34,11 @@ class _GraphFields(NamedTuple):
     edges: tuple[Edge, ...]
 
 
+def _checked_make(cls, iterable: Iterable):
+    # a named tuple's own _make, which _replace calls, skips __new__
+    return cls(*iterable)
+
+
 def _checked_edges(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
     """The edges of a simple graph on n vertices, normalized and sorted;
     ValueError for n < 1, a loop, an edge out of range or a repeat."""
@@ -56,6 +61,8 @@ class Graph(_GraphFields):
 
     def __new__(cls, n: int, edges: Iterable[Edge]) -> Graph:
         return super().__new__(cls, n, _checked_edges(n, edges))
+
+    _make = classmethod(_checked_make)
 
     @property
     def m(self) -> int:
@@ -219,6 +226,8 @@ class GraphSpec(_GraphSpecFields):
             raise ValueError("explicit edges only make sense for the edges family")
         row.check(*params)
         return super().__new__(cls, family, params, edge_list)
+
+    _make = classmethod(_checked_make)
 
 
 class FamilyRow(NamedTuple):

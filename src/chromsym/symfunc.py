@@ -211,17 +211,17 @@ def _multiply_into(out: dict[int, int], f: Mapping[int, int], g: Mapping[int, in
 
 # ------------------------------------------------------- basis conversion
 
-# Terms one accumulator of p_to_e may hold after a product into it.  At
-# degree n it holds at most the p(n) partitions of n: p(41) = 44 583
-# fits (a 41-cycle, 5.5 s and 85 MB on a 2-CPU host), p(42) = 53 174
-# does not, nor does the image of p_42, which has as many terms.
+# Terms one accumulator of p_to_e, or one A_r of the shared table, may
+# hold.  At degree n an accumulator holds at most the p(n) partitions of
+# n: p(41) = 44 583 fits (a 41-cycle, 5.5 s and 85 MB on a 2-CPU host),
+# p(42) = 53 174 does not, nor do A_42 and the image of p_42.
 _P_TO_E_MAX_TERMS = 50_000
 
 # Per-process tables on packed keys, one pair per digit width w: the
 # signed arrangement counts A_0, A_1, ... and the elementary images of
 # the power sums p_0, p_1, ....  A_r holds every partition of r, so a
-# table grows only as far as a caller asks: p_to_e asks up to the
-# largest part of its input, not up to its degree.
+# table grows only as far as a caller asks: p_to_e up to the largest
+# part of its input, not its degree, and the oracle to its longest chain.
 _TABLES: dict[int, tuple[list[dict[int, int]], list[dict[int, int]]]] = {}
 
 
@@ -235,7 +235,9 @@ def _arrangement_table(w: int, top: int) -> list[dict[int, int]]:
     subset leaving k components cuts the path into a composition of r
     with k parts, with sign (-1)**(r - k)).  Taking the compositions by
     their first part j gives A_r = sum over j of (-1)**(j - 1) times
-    A_(r - j) with one part j added to every key.
+    A_(r - j) with one part j added to every key.  The one check on the
+    table's size: the first A_r with more than _P_TO_E_MAX_TERMS entries,
+    as many as the image of p_r has, is refused before it is kept.
     """
     arrangements = _TABLES.setdefault(w, ([{0: 1}], [{0: 1}]))[0]
     while len(arrangements) <= top:
@@ -248,6 +250,11 @@ def _arrangement_table(w: int, top: int) -> list[dict[int, int]]:
             for key, c in arrangements[r - j].items():
                 key += part
                 out[key] = get(key, 0) + sign * c
+        if len(out) > _P_TO_E_MAX_TERMS:
+            raise ResourceLimitError(
+                f"p_to_e capped at {_P_TO_E_MAX_TERMS} accumulator terms, "
+                f"the image of p_{r} has {len(out)}"
+            )
         arrangements.append(out)
     return arrangements
 
@@ -286,8 +293,8 @@ def p_to_e(f: SymFunc) -> SymFunc:
     interpreter's recursion limit.  ResourceLimitError once a product
     leaves an accumulator with more than _P_TO_E_MAX_TERMS terms; one by
     the image of p_k leaves at least its p(k) terms, as many as A_k has,
-    so A_k is grown one part at a time and the first past the budget is
-    refused before any image, product or larger table.
+    so the table refuses the first A_k past the budget as it grows,
+    before any image or product.
     """
     if f.basis is not Basis.POWERSUM:
         raise ValueError("p_to_e expects a power-sum-basis input")
@@ -295,13 +302,6 @@ def p_to_e(f: SymFunc) -> SymFunc:
     w = _width(_degree(f._terms))
     # the first partition in descending order holds the largest part
     top = terms[0][0][0] if terms and terms[0][0] else 0
-    for k in range(top + 1):
-        size = len(_arrangement_table(w, k)[k])
-        if size > _P_TO_E_MAX_TERMS:
-            raise ResourceLimitError(
-                f"p_to_e capped at {_P_TO_E_MAX_TERMS} accumulator terms, "
-                f"the image of p_{k} has {size}"
-            )
     images = _image_table(w, top)
     prefix: list[int] = []
     stack: list[dict[int, int]] = [{}]

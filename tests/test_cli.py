@@ -19,6 +19,7 @@ import pytest
 
 import chromsym.cli as cli
 import chromsym.engine as engine
+import chromsym.symfunc as symfunc
 from chromsym.cli import SpecParseError, build_parser, main, parse_composition, parse_graph_spec
 from chromsym.engine import csf_cycle_chord, scan_theta, theta_scan_cells
 from chromsym.graphs import Family, GraphSpec, build_graph, count_proper_colorings, render_graph_spec
@@ -405,25 +406,48 @@ def test_formula_refusal_comes_before_the_graph_is_built(argv, n, monkeypatch, c
     )
 
 
-@pytest.mark.parametrize("argv, chain", [
-    (["csf", "theta:1000000,2,2"], "chain 3 of 3 has 999999"),
-    (["verify", "theta:1000000,2,2"], "chain 3 of 3 has 999999"),
-    (["csf", "glambda:3,3,3,3,1000000"], "chain 5 of 5 has 999999"),
-    (["verify", "glambda:3,3,3,3,1000000"], "chain 5 of 5 has 999999"),
-    (["csf", "theta:30000,30000,30000"], "chain 1 of 3 has 29999"),
+CONVERSION_REFUSAL = "p_to_e capped at 50000 accumulator terms, the image of p_42 has 53174"
+
+
+@pytest.mark.parametrize("argv", [
+    ["csf", "theta:1000000,2,2"],
+    ["verify", "theta:1000000,2,2"],
+    ["csf", "glambda:3,3,3,3,1000000"],
+    ["verify", "glambda:3,3,3,3,1000000"],
+    ["csf", "theta:30000,30000,30000"],
+    ["csf", "theta:16,16,16"],
+    ["verify", "theta:14,14,15"],
+    ["csf", "glambda:" + ",".join(["2"] * 40)],
 ])
-def test_chain_refusal_comes_before_the_graph_is_built(argv, chain, monkeypatch, capsys):
+def test_conversion_refusal_comes_before_the_graph_is_built(argv, monkeypatch, capsys):
+    # each spec builds a connected graph on 42 or more vertices, whose
+    # conversion needs A_42, so the spec alone is refused
     def build(spec):
         raise AssertionError("the graph was built")
 
     monkeypatch.setattr(cli, "build_graph", build)
     monkeypatch.setattr(engine, "build_graph", build)
+    monkeypatch.setattr(symfunc, "_TABLES", {})
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"error: oracle transfer capped at 44 inner vertices per chain, {chain}\n"
-    )
+    assert captured.err == f"error: {CONVERSION_REFUSAL}\n"
+
+
+def test_long_cycle_is_refused_before_any_chain_step(monkeypatch, capsys):
+    # an edges: spec may be disconnected, so only the oracle checks it:
+    # the 45-cycle is one chain of 44 inner vertices, whose free middles
+    # reach A_42 before the transfer takes a step
+    def cut_terms(*args):
+        raise AssertionError("a chain step ran")
+
+    monkeypatch.setattr(engine, "_cut_terms", cut_terms)
+    monkeypatch.setattr(symfunc, "_TABLES", {})
+    cycle = ",".join(f"{v}-{(v + 1) % 45}" for v in range(45))
+    assert main(["csf", f"edges:45;{cycle}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {CONVERSION_REFUSAL}\n"
 
 
 @pytest.mark.parametrize("spec", [
@@ -447,14 +471,12 @@ def test_closed_formula_size_bound_exits_one(spec, n):
 
 
 def test_long_chain_table_bound_exits_one():
-    # the chains' inner vertices are checked before any free-middle
-    # table is built, so 29 999 of them are refused at once
+    # the table is grown from the spec, before the graph is built, so
+    # 89 999 vertices are refused once it reaches A_42
     capped = run_module("csf", "theta:30000,30000,30000", capture_output=True, timeout=20)
     assert capped.returncode == 1
     assert capped.stdout == ""
-    assert capped.stderr == (
-        "error: oracle transfer capped at 44 inner vertices per chain, chain 1 of 3 has 29999\n"
-    )
+    assert capped.stderr == f"error: {CONVERSION_REFUSAL}\n"
 
 
 @pytest.mark.parametrize("command", ["csf", "verify"])

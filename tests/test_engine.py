@@ -21,7 +21,7 @@ import chromsym.symfunc as symfunc
 from chromsym.compositions import chord_weight, surplus
 from chromsym.engine import (
     ThetaScanRow,
-    check_oracle_chains,
+    check_conversion_table,
     csf_cycle,
     csf_cycle_chord,
     csf_oracle,
@@ -248,52 +248,57 @@ def test_oracle_counts_terms_as_they_are_made(monkeypatch):
 
 
 def test_oracle_caps_the_free_middle_tables(monkeypatch):
-    # a chain of r inner vertices needs every partition of up to r
-    # vertices: 451 501 for the 44 of the path on 46 vertices, which
-    # runs, and 540 635 for the 45 of the path on 47, which is refused
-    # before any table is built
-    asked = []
-
-    class Built(Exception):
+    # a chain of r inner vertices reads A_0, ..., A_r, and the table
+    # refuses the first A_r past p_to_e's budget before any chain step:
+    # under a budget of p(9) = 30, the path on 11 vertices (9 inner)
+    # reaches its chain steps, and the path on 12 (10 inner) is refused
+    # at A_10, which has p(10) = 42 entries and is not kept
+    class Stepped(Exception):
         pass
 
-    def table(w, top):
-        asked.append(top)
-        raise Built
+    def cut_terms(*args):
+        raise Stepped
 
-    monkeypatch.setattr(engine, "_arrangement_table", table)
-    with pytest.raises(Built):
-        csf_oracle(path_graph(46))
-    with pytest.raises(ResourceLimitError) as exc:
-        csf_oracle(path_graph(47))
-    assert str(exc.value) == (
-        "oracle transfer capped at 44 inner vertices per chain, chain 1 of 1 has 45"
-    )
-    assert asked == [44]
-    monkeypatch.undo()
-    # the path on 7 vertices has 5 inner vertices, and the cap is inclusive
-    monkeypatch.setattr(engine, "_CHAIN_MAX_INNER", 4)
-    with pytest.raises(ResourceLimitError, match="chain 1 of 1 has 5$"):
-        csf_oracle(path_graph(7))
-    monkeypatch.setattr(engine, "_CHAIN_MAX_INNER", 5)
-    assert csf_oracle(path_graph(7)) == csf_path(7)
+    monkeypatch.setattr(symfunc, "_P_TO_E_MAX_TERMS", 30)
+    monkeypatch.setattr(symfunc, "_TABLES", {})
+    with monkeypatch.context() as steps:
+        steps.setattr(engine, "_cut_terms", cut_terms)
+        with pytest.raises(Stepped):
+            csf_oracle(path_graph(11))
+        with pytest.raises(ResourceLimitError) as exc:
+            csf_oracle(path_graph(12))
+    assert str(exc.value) == "p_to_e capped at 30 accumulator terms, the image of p_10 has 42"
+    assert len(symfunc._TABLES[symfunc._width(12)][0]) == 10
+    # the transfer takes the path on 11, and its conversion meets A_10
+    assert csf_oracle(path_graph(9)) == csf_path(9)
+    with pytest.raises(ResourceLimitError, match="the image of p_10 has 42$"):
+        csf_oracle(path_graph(11))
 
 
 @pytest.mark.parametrize("lengths", [(5, 3, 2), (2, 7, 3), (6, 3, 2, 1), (3, 3, 3, 3, 6)])
 def test_spec_chain_check_gives_the_oracle_refusal(lengths, monkeypatch):
-    # three or more paths between two hubs are the graph's chains, taken
-    # in ascending length, so the spec alone gives the oracle's message;
-    # one or two paths make one chain, left to the formulas' size cap
+    # the spec check grows the table to A_n, as converting the built
+    # graph's function does: a budget of p(n) passes both, and one short
+    # of it refuses both with one message
     spec = GraphSpec(Family.MULTIPATH, lengths)
-    monkeypatch.setattr(engine, "_CHAIN_MAX_INNER", max(lengths) - 1)
-    check_oracle_chains(spec)
-    check_oracle_chains(GraphSpec(Family.MULTIPATH, (1000, 999)))
-    monkeypatch.setattr(engine, "_CHAIN_MAX_INNER", max(lengths) - 2)
+    n = build_graph(spec).n
+    w = symfunc._width(n)
+    size = len(symfunc._arrangement_table(w, n)[n])
+    monkeypatch.setattr(symfunc, "_P_TO_E_MAX_TERMS", size)
+    monkeypatch.setattr(symfunc, "_TABLES", {})
+    check_conversion_table(spec)
+    assert csf_oracle(build_graph(spec)) == csf_by_edge_transfer(build_graph(spec))
+    monkeypatch.setattr(symfunc, "_P_TO_E_MAX_TERMS", size - 1)
+    monkeypatch.setattr(symfunc, "_TABLES", {})
+    with pytest.raises(ResourceLimitError) as early:
+        check_conversion_table(spec)
+    assert len(symfunc._TABLES[w][0]) == n
+    monkeypatch.setattr(symfunc, "_TABLES", {})
     with pytest.raises(ResourceLimitError) as built:
         csf_oracle(build_graph(spec))
-    with pytest.raises(ResourceLimitError) as early:
-        check_oracle_chains(spec)
-    assert str(early.value) == str(built.value)
+    assert str(early.value) == str(built.value) == (
+        f"p_to_e capped at {size - 1} accumulator terms, the image of p_{n} has {size}"
+    )
 
 
 def test_oracle_crosses_block_boundary():

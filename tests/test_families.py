@@ -1,16 +1,20 @@
 """Property tests over the family table: a spec is made exactly when
 its family's builder builds, every row's spec survives the text
 grammar, its closed formula (when it names one) equals the edge-subset
-oracle exactly, and a family whose e-positivity is established yields
-an e-positive oracle."""
+oracle exactly, a family whose e-positivity is established yields
+an e-positive oracle, and every family but edges hands p_to_e a p_n
+term on its n vertices."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chromsym.engine as engine
 from chromsym.cli import parse_graph_spec
+from chromsym.compositions import partitions
 from chromsym.engine import closed_formula, csf_oracle
 from chromsym.graphs import (
     FAMILIES,
@@ -26,7 +30,8 @@ from chromsym.graphs import (
     tadpole_graph,
     theta_graph,
 )
-from chromsym.symfunc import is_e_positive
+from chromsym.symfunc import is_e_positive, p_to_e
+from reference import component_partition
 
 
 def _path_lengths(count):
@@ -130,3 +135,72 @@ def test_formula_matches_oracle_and_positivity_holds(spec):
         assert formula == oracle
     if FAMILIES[spec.family].e_positive(spec.params):
         assert is_e_positive(oracle).positive
+
+
+def _specs_up_to(n_max):
+    """Every spec of a family other than edges with at most n_max
+    vertices: fixed-arity params from 0..n_max, and glambda's path
+    lengths as the partitions of up to n_max - 2 inner vertices, each
+    part plus one, with or without one path of length 1."""
+    specs = set()
+    for family, row in FAMILIES.items():
+        if row.explicit_edges:
+            continue
+        if row.arity is None:
+            candidates = (
+                tuple(p + 1 for p in mu) + ones
+                for inner in range(n_max - 1)
+                for mu in partitions(inner)
+                for ones in ((), (1,))
+            )
+        else:
+            candidates = itertools.product(range(n_max + 1), repeat=row.arity)
+        for params in candidates:
+            try:
+                spec = GraphSpec(family, params)
+            except ValueError:
+                continue
+            if row.size(spec)[0] <= n_max:
+                specs.add(spec)
+    return sorted(specs, key=render_graph_spec)
+
+
+def _converted(monkeypatch):
+    # the power-sum functions the oracle hands to p_to_e, in order
+    seen = []
+
+    def convert(f):
+        seen.append(f)
+        return p_to_e(f)
+
+    monkeypatch.setattr(engine, "p_to_e", convert)
+    return seen
+
+
+def test_every_family_but_edges_converts_a_p_n_term(monkeypatch):
+    # the premise of engine.check_conversion_table: each of these specs
+    # builds a connected graph, whose expansion on n vertices has a p_n
+    # term with coefficient (-1)**(n - 1) times its number of spanning
+    # trees with no broken circuit, so p_to_e grows the table to A_n
+    seen = _converted(monkeypatch)
+    specs = _specs_up_to(14)
+    assert {spec.family for spec in specs} == set(Family) - {Family.EDGES}
+    for spec in specs:
+        n = FAMILIES[spec.family].size(spec)[0]
+        csf_oracle(build_graph(spec))
+        assert (-1) ** (n - 1) * seen.pop().coefficient((n,)) > 0, spec
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_disconnected_graph_converts_up_to_its_largest_component(seed, monkeypatch):
+    # an edges spec need not be connected, so the spec check leaves it to
+    # the oracle: its largest part is its largest component
+    rng = random.Random(seed)
+    n = 12
+    graph = Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                      if rng.random() < 0.15])
+    largest = component_partition(graph, graph.edges)[0]
+    assert largest < n
+    seen = _converted(monkeypatch)
+    csf_oracle(graph)
+    assert max(lam[0] for lam in seen.pop().terms) == largest

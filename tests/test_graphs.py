@@ -6,7 +6,9 @@ enumeration of all color assignments on small graphs.
 """
 
 import itertools
+import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,32 @@ def test_value_types_are_immutable():
             setattr(value, field, getattr(value, field))
         with pytest.raises(AttributeError):
             value.extra = 1
+
+
+@pytest.mark.parametrize("bypass, message", [
+    (lambda: Graph(3, [(0, 1)])._replace(edges=((0, 0), (5, 1))), "loops are not allowed: vertex 0"),
+    (lambda: Graph._make((2, ((0, 7),))), "edge (0, 7) out of range for n=2"),
+    (lambda: GraphSpec(Family.PATH, (3,))._replace(params=(0,)),
+     "path needs at least one vertex, got 0"),
+    (lambda: GraphSpec._make((Family.THETA, (2, 1, 1))), "at most one path may have length 1"),
+    (lambda: GraphSpec(Family.EDGES, (3,), ((0, 2),))._replace(params=(2,)),
+     "edge (0, 2) out of range for n=2"),
+], ids=["graph-replace", "graph-make", "spec-replace", "spec-make", "edges-spec-replace"])
+def test_replace_and_make_check_like_the_constructor(bypass, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bypass()
+
+
+def test_a_valid_replace_equals_a_fresh_construction():
+    g = Graph(3, [(0, 1)])._replace(edges=((2, 1), (1, 0)))
+    assert g == Graph(3, ((0, 1), (1, 2))) and g.edges == ((0, 1), (1, 2))
+    spec = GraphSpec(Family.THETA, (3, 2, 2))._replace(params=(1, 2, 3))
+    assert spec == GraphSpec(Family.THETA, (3, 2, 1)) and spec.params == (3, 2, 1)
+    for value in g, spec:
+        assert pickle.loads(pickle.dumps(value)) == value
+    theta = graphs.FAMILIES[Family.THETA]
+    assert theta == graphs.FAMILIES[Family.MULTIPATH]._replace(arity=3)
+    assert theta.arity == 3 and theta.path_lengths
 
 
 def test_graph_spec_rejects_stray_edges():

@@ -416,14 +416,15 @@ def test_p_to_e_refuses_past_its_term_budget(monkeypatch):
 
 def test_p_to_e_refuses_the_first_image_past_its_budget(monkeypatch):
     # p(9) = 30 and p(10) = 42: under a budget of 30, p_9 converts, and
-    # p_12 is refused at A_10, before its image or any larger table
+    # p_12 is refused at A_10, which is not kept, before its image or any
+    # larger table
     monkeypatch.setattr(symfunc, "_P_TO_E_MAX_TERMS", 30)
     monkeypatch.setattr(symfunc, "_TABLES", {})
     assert p_to_e(monomial(P, (9,))) == power_image_by_newton(9)
     with pytest.raises(chromsym.ResourceLimitError) as exc:
         p_to_e(monomial(P, (12,)))
     assert str(exc.value) == "p_to_e capped at 30 accumulator terms, the image of p_10 has 42"
-    assert [len(table) for table in symfunc._TABLES[_width(12)]] == [11, 10]
+    assert [len(table) for table in symfunc._TABLES[_width(12)]] == [10, 10]
 
 
 # ------------------------------------------------------------ positivity
