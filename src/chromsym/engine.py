@@ -242,15 +242,31 @@ def _cut_terms(sizes, slots, r: int, free, base: int, w: int) -> dict[int, int]:
 
 def check_conversion_table(spec: GraphSpec) -> None:
     """Refuse, before the graph is built, a spec whose function p_to_e
-    would refuse.  Every family but edges builds a connected graph, whose
-    expansion on n vertices has a p_n term (up to sign, its coefficient is
-    its number of spanning trees with no broken circuit, Stanley 1995), so
-    p_to_e grows the table to A_n at width _width(n) anyway; this grows it
-    first."""
+    would refuse.  A connected graph's expansion on s vertices has a p_s
+    term (up to sign, its coefficient is its number of spanning trees
+    with no broken circuit, Stanley 1995), so the product over a graph's
+    components has a term whose largest part is its largest component,
+    and p_to_e grows the table to that A_s at width _width(n) anyway;
+    this grows it first.  Every family but edges builds a connected
+    graph; an edges spec's components are walked from its edge list,
+    a vertex on no edge being one of size 1."""
     row = FAMILIES[spec.family]
-    if not row.explicit_edges:
-        n = row.size(spec)[0]
-        _arrangement_table(_width(n), n)
+    n = top = row.size(spec)[0]
+    if row.explicit_edges:
+        links: dict[int, list[int]] = {}
+        for u, v in spec.edge_list:
+            links.setdefault(u, []).append(v)
+            links.setdefault(v, []).append(u)
+        top = 1
+        while links:
+            stack, size = links.popitem()[1], 1
+            while stack:
+                around = links.pop(stack.pop(), None)
+                if around is not None:
+                    size += 1
+                    stack += around
+            top = max(top, size)
+    _arrangement_table(_width(n), top)
 
 
 def csf_oracle(graph: Graph) -> SymFunc:

@@ -220,8 +220,9 @@ _P_TO_E_MAX_TERMS = 50_000
 # Per-process tables on packed keys, one pair per digit width w: the
 # signed arrangement counts A_0, A_1, ... and the elementary images of
 # the power sums p_0, p_1, ....  A_r holds every partition of r, so a
-# table grows only as far as a caller asks: p_to_e up to the largest
-# part of its input, not its degree, and the oracle to its longest chain.
+# table grows only as far as a caller asks: p_to_e up to the largest part
+# of its input, the oracle to its longest chain, and the spec check to
+# the largest component.
 _TABLES: dict[int, tuple[list[dict[int, int]], list[dict[int, int]]]] = {}
 
 
@@ -233,23 +234,29 @@ def _arrangement_table(w: int, top: int) -> list[dict[int, int]]:
 
     It is the power-sum expansion of the path on r vertices (an edge
     subset leaving k components cuts the path into a composition of r
-    with k parts, with sign (-1)**(r - k)).  Taking the compositions by
-    their first part j gives A_r = sum over j of (-1)**(j - 1) times
-    A_(r - j) with one part j added to every key.  The one check on the
-    table's size: the first A_r with more than _P_TO_E_MAX_TERMS entries,
-    as many as the image of p_r has, is refused before it is kept.
+    with k parts, with sign (-1)**(r - k)).  Each mu is made once, from
+    nu, mu less one copy of its largest part k: A_r(mu) = (-1)**(k - 1)
+    * A_(r - k)(nu) * l(mu) / m_k(mu), exactly, where l(mu) - 1 is nu's
+    digit sum, its key mod 2**w - 1 (as l(nu) < top < 2**w), and
+    m_k(mu) - 1 is nu's digit k.  Filled with k ascending, a row lists
+    its keys by largest part, so those nu are the prefix of A_(r - k)
+    below 1 << k * w.  The one check on the table's size: the first A_r
+    with more than _P_TO_E_MAX_TERMS entries, as many as the image of
+    p_r has, is refused before it is kept.
     """
     arrangements = _TABLES.setdefault(w, ([{0: 1}], [{0: 1}]))[0]
+    digits = (1 << w) - 1
     while len(arrangements) <= top:
         r = len(arrangements)
         out: dict[int, int] = {}
-        get = out.get
-        for j in range(1, r + 1):
-            part = 1 << (j - 1) * w
-            sign = 1 if j % 2 else -1
-            for key, c in arrangements[r - j].items():
-                key += part
-                out[key] = get(key, 0) + sign * c
+        for k in range(1, r + 1):
+            shift = (k - 1) * w
+            part, bound = 1 << shift, 1 << shift + w
+            sign = 1 if k % 2 else -1
+            for key, c in arrangements[r - k].items():
+                if key >= bound:
+                    break
+                out[key + part] = sign * c * (key % digits + 1) // ((key >> shift & digits) + 1)
         if len(out) > _P_TO_E_MAX_TERMS:
             raise ResourceLimitError(
                 f"p_to_e capped at {_P_TO_E_MAX_TERMS} accumulator terms, "

@@ -3,12 +3,13 @@
 Each function here recomputes something by a different argument than
 the production code: the compositions decoded from their cut
 bitmasks, the two readings of a cut point by two separate walks, the
-signed chord weight, the segment picture of the chord weight, Newton's
-recurrence for the power sums, Stanley's edge-subset
-sum one subset at a time and carried edge by edge, products by sorting
-joined partitions, the chromatic polynomial by deletion-contraction
-alone, the composition sums with every weight multiplied out, the
-principal specialization one part at a time, and so on.  The
+signed chord weight, the segment picture of the chord weight, the
+arrangement counts by first part, Newton's recurrence for the power
+sums, Stanley's edge-subset sum one subset at a time and carried edge
+by edge, products by sorting joined partitions, the chromatic
+polynomial by deletion-contraction alone, the composition sums with
+every weight multiplied out, the principal specialization one part at
+a time, and so on.  The
 three-edge deletion identities are here too: they are paper identities
 that only the tests check.
 They exist only to cross-check the package, so they live beside the
@@ -398,6 +399,22 @@ def principal_specialization_by_parts(f: SymFunc, k: int) -> int:
 def from_json_dict(data: dict) -> SymFunc:
     basis = Basis(data["basis"])
     return SymFunc(basis, {tuple(lam): c for lam, c in data["terms"]})
+
+
+def arrangement_table_by_first_part(w: int, top: int) -> list[dict[int, int]]:
+    """A_0, ..., A_top on packed keys at width w, by the compositions'
+    first part: one of r with first part j leaves one of r - j, so A_r
+    is the sum over j of (-1)**(j - 1) times A_(r - j) with a part j
+    added to every key."""
+    table = [{0: 1}]
+    for r in range(1, top + 1):
+        row: dict[int, int] = {}
+        for j in range(1, r + 1):
+            part = 1 << (j - 1) * w
+            for key, c in table[r - j].items():
+                row[key + part] = row.get(key + part, 0) + (-1) ** (j - 1) * c
+        table.append(row)
+    return table
 
 
 _NEWTON_IMAGE: dict[int, SymFunc] = {}

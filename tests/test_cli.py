@@ -435,9 +435,9 @@ def test_conversion_refusal_comes_before_the_graph_is_built(argv, monkeypatch, c
 
 
 def test_long_cycle_is_refused_before_any_chain_step(monkeypatch, capsys):
-    # an edges: spec may be disconnected, so only the oracle checks it:
     # the 45-cycle is one chain of 44 inner vertices, whose free middles
-    # reach A_42 before the transfer takes a step
+    # would reach A_42 before the transfer takes a step; the spec check,
+    # which grows the table to the largest component, refuses it first
     def cut_terms(*args):
         raise AssertionError("a chain step ran")
 
@@ -448,6 +448,43 @@ def test_long_cycle_is_refused_before_any_chain_step(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {CONVERSION_REFUSAL}\n"
+
+
+def _edges_spec(n, edges):
+    return f"edges:{n};" + ",".join(f"{u}-{v}" for u, v in edges)
+
+
+# a 15-vertex spine with two leaves on each vertex, and a 22-rung ladder
+CATERPILLAR = _edges_spec(45, [(v, v + 1) for v in range(14)]
+                          + [((v - 15) // 2, v) for v in range(15, 45)])
+LADDER = _edges_spec(44, [(v, v + 1) for v in range(43) if v != 21]
+                     + [(v, v + 22) for v in range(22)])
+
+
+@pytest.mark.parametrize("command", ["csf", "verify"])
+@pytest.mark.parametrize("spec", [CATERPILLAR, LADDER], ids=["caterpillar", "ladder"])
+def test_connected_edges_spec_is_refused_before_the_build(command, spec, monkeypatch, capsys):
+    # neither graph has a long chain, so only the spec check, which walks
+    # the edge list for the largest component, stops it short of the
+    # transfer, which runs for seconds on either
+    def refuse(*args):
+        raise AssertionError("the graph was built or a chain step ran")
+
+    monkeypatch.setattr(cli, "build_graph", refuse)
+    monkeypatch.setattr(engine, "build_graph", refuse)
+    monkeypatch.setattr(engine, "_cut_terms", refuse)
+    monkeypatch.setattr(symfunc, "_TABLES", {})
+    assert main([command, spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {CONVERSION_REFUSAL}\n"
+
+
+def test_edges_spec_of_small_components_converts_past_42_vertices(capsys):
+    # fifteen triangles on 45 vertices: the table grows to A_3, not A_45
+    triangles = [(3 * t + i, 3 * t + j) for t in range(15) for i, j in ((0, 1), (0, 2), (1, 2))]
+    assert main(["csf", _edges_spec(45, triangles)]) == 0
+    assert capsys.readouterr().out == f"{6 ** 15}e_{{{'3' * 15}}}\n"
 
 
 @pytest.mark.parametrize("spec", [

@@ -13,14 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chromsym.engine as engine
+import chromsym.symfunc as symfunc
 from chromsym.cli import parse_graph_spec
 from chromsym.compositions import partitions
-from chromsym.engine import closed_formula, csf_oracle
+from chromsym.engine import check_conversion_table, closed_formula, csf_oracle
 from chromsym.graphs import (
     FAMILIES,
     Family,
     Graph,
     GraphSpec,
+    ResourceLimitError,
     build_graph,
     cycle_chord_graph,
     cycle_graph,
@@ -193,8 +195,11 @@ def test_every_family_but_edges_converts_a_p_n_term(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_a_disconnected_graph_converts_up_to_its_largest_component(seed, monkeypatch):
-    # an edges spec need not be connected, so the spec check leaves it to
-    # the oracle: its largest part is its largest component
+    # an edges spec need not be connected: its largest part is its largest
+    # component, and the spec check grows the table that far, as the
+    # conversion does.  A budget of p(s) passes both tables (the same
+    # budget bounds each product, which past one component may hold more
+    # than p(s) terms), and one short of it refuses both with one message
     rng = random.Random(seed)
     n = 12
     graph = Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
@@ -204,3 +209,25 @@ def test_a_disconnected_graph_converts_up_to_its_largest_component(seed, monkeyp
     seen = _converted(monkeypatch)
     csf_oracle(graph)
     assert max(lam[0] for lam in seen.pop().terms) == largest
+    spec = GraphSpec(Family.EDGES, (n,), graph.edges)
+    w = symfunc._width(n)
+    size = len(symfunc._arrangement_table(w, largest)[largest])
+    monkeypatch.setattr(symfunc, "_P_TO_E_MAX_TERMS", size)
+    monkeypatch.setattr(symfunc, "_TABLES", {})
+    check_conversion_table(spec)
+    assert len(symfunc._TABLES[w][0]) == largest + 1
+    monkeypatch.setattr(symfunc, "_TABLES", {})
+    try:
+        csf_oracle(graph)
+    except ResourceLimitError as exc:
+        assert "a product made" in str(exc)
+    assert len(symfunc._TABLES[w][0]) == largest + 1
+    monkeypatch.setattr(symfunc, "_P_TO_E_MAX_TERMS", size - 1)
+    refusals = []
+    for run, arg in ((check_conversion_table, spec), (csf_oracle, graph)):
+        monkeypatch.setattr(symfunc, "_TABLES", {})
+        with pytest.raises(ResourceLimitError) as refused:
+            run(arg)
+        refusals.append(str(refused.value))
+    assert refusals == [f"p_to_e capped at {size - 1} accumulator terms, "
+                        f"the image of p_{largest} has {size}"] * 2

@@ -23,6 +23,7 @@ from chromsym.compositions import partitions
 from chromsym.engine import csf_oracle
 from chromsym.graphs import build_graph, count_proper_colorings
 from chromsym.symfunc import (
+    _arrangement_table,
     _degree,
     _image_table,
     _multiply_into,
@@ -43,6 +44,7 @@ from chromsym.symfunc import (
     to_json_dict,
 )
 from reference import (
+    arrangement_table_by_first_part,
     from_json_dict,
     monomial,
     multiply_by_sorting,
@@ -242,6 +244,21 @@ def test_p_to_e_frozen_small_images():
         monomial(E, (1, 1, 1)) - 3 * monomial(E, (2, 1)) + 3 * monomial(E, (3,))
     )
     assert p_to_e(monomial(P, (), 4)) == monomial(E, (), 4)
+
+
+@pytest.mark.parametrize("w", [4, 5, 6, 7])
+def test_arrangement_table_matches_first_part_recurrence(w, monkeypatch):
+    # each partition is made once, from its parent; rows up to the widest
+    # the width holds (2**w - 1 at w = 4, where 1^15 fills its digit)
+    monkeypatch.setattr(symfunc, "_TABLES", {})
+    top = min(2 ** w - 1, 32)
+    table = _arrangement_table(w, top)
+    expected = arrangement_table_by_first_part(w, top)
+    for r in range(top + 1):
+        assert table[r] == expected[r], (w, r)
+        largest = [(key.bit_length() - 1) // w + 1 for key in table[r]]
+        assert largest == sorted(largest), (w, r)
+        assert len(table[r]) == sum(1 for _ in partitions(r)), (w, r)
 
 
 def test_power_image_matches_newton_recurrence(monkeypatch):
