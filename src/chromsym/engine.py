@@ -219,22 +219,25 @@ def _cut_terms(sizes, slots, r: int, free, base: int, w: int) -> dict[int, int]:
     the given slots: t of the vertices attach to the ends and the free
     middle of r - t closes as free[r - t].  Two blocks share the t in
     t + 1 ways with sign (-1)**t.  One block takes all t in t + 1 ways
-    too; at t = r that folds with the chain kept whole into r (-1)**r."""
+    too; at t = r that folds with the chain kept whole into r (-1)**r.
+    Each end's offsets, for 0..r vertices attached, are placed once."""
+    ends = [[_place(size + x, slot, base, w) for x in range(r + 1)]
+            for size, slot in zip(sizes, slots)]
     terms: dict[int, int] = {}
     get = terms.get
     for t in range(r + 1):
-        splits: dict[int, int] = {}
-        if len(sizes) == 1:
-            coeff = (-1) ** t * (t + 1 if t < r else r)
-            splits[_place(sizes[0] + t, slots[0], base, w)] = coeff
+        sign = -1 if t % 2 else 1
+        if len(ends) == 1:
+            splits = {ends[0][t]: sign * (t + 1 if t < r else r)}
         else:
+            pa, pb = ends
+            splits = {}
             for x in range(t + 1):
-                split = _place(sizes[0] + x, slots[0], base, w) + _place(
-                    sizes[1] + t - x, slots[1], base, w
-                )
-                splits[split] = splits.get(split, 0) + (-1) ** t
+                split = pa[x] + pb[t - x]
+                splits[split] = splits.get(split, 0) + sign
+        row = free[r - t].items()
         for split, coeff in splits.items():
-            for key, c in free[r - t].items():
+            for key, c in row:
                 key += split
                 terms[key] = get(key, 0) + coeff * c
     return terms

@@ -171,16 +171,16 @@ def _pack(lam: Partition, w: int) -> int:
 
 
 def _unpack(key: int, w: int) -> Partition:
-    """Partition of a packed key, parts weakly decreasing."""
-    digit = (1 << w) - 1
-    parts: list[int] = []
-    part = 0
+    """Partition of a packed key, parts weakly decreasing.  The digits
+    are read from the top, found by the key's bit_length, one step per
+    distinct part, so the parts come out in order."""
+    parts: Partition = ()
     while key:
-        part += 1
-        parts += [part] * (key & digit)
-        key >>= w
-    parts.reverse()
-    return tuple(parts)
+        part = (key.bit_length() - 1) // w
+        shift = part * w
+        parts += (part + 1,) * (key >> shift)
+        key &= (1 << shift) - 1
+    return parts
 
 
 def _degree(terms: Mapping[Partition, int]) -> int:
@@ -200,13 +200,19 @@ def _multiply_into(out: dict[int, int], f: Mapping[int, int], g: Mapping[int, in
     """out += f * g, for packed terms in a multiplicative basis
     (e or p), where the product of two basis elements joins their parts,
     which adds their keys.  All three share one width, wide enough for
-    the degree of the product.  Cancelled terms stay in out as zeros
-    until _unpacked drops them."""
+    the degree of the product.  The smaller factor is the outer loop,
+    and its zero coefficients are skipped; a zero of the other factor,
+    or a term that cancels, stays in out as a zero until _unpacked
+    drops it."""
+    if len(f) > len(g):
+        f, g = g, f
     get = out.get
+    inner = g.items()
     for lam, a in f.items():
-        for mu, b in g.items():
-            key = lam + mu
-            out[key] = get(key, 0) + a * b
+        if a:
+            for mu, b in inner:
+                key = lam + mu
+                out[key] = get(key, 0) + a * b
 
 
 # ------------------------------------------------------- basis conversion

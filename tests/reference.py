@@ -6,8 +6,9 @@ bitmasks, the two readings of a cut point by two separate walks, the
 signed chord weight, the segment picture of the chord weight, the
 arrangement counts by first part, Newton's recurrence for the power
 sums, Stanley's edge-subset sum one subset at a time and carried edge
-by edge, products by sorting joined partitions, the chromatic
-polynomial by deletion-contraction alone, the composition sums with
+by edge, a chain's cut terms with both ends placed for every split,
+products by sorting joined partitions, the chromatic polynomial by
+deletion-contraction alone, the composition sums with
 every weight multiplied out, the principal specialization one part at
 a time, and so on.  The
 three-edge deletion identities are here too: they are paper identities
@@ -30,7 +31,7 @@ from chromsym.compositions import (
     segment_dissection,
     surplus,
 )
-from chromsym.engine import _aggregate, csf_oracle
+from chromsym.engine import _aggregate, _place, csf_oracle
 from chromsym.graphs import Edge, Graph, _normalize_edge
 from chromsym.symfunc import Basis, SymFunc, _pack, _unpack, _width, p_to_e
 
@@ -323,6 +324,32 @@ def csf_by_edge_transfer(graph: Graph) -> SymFunc:
     # every vertex has retired, so the packed multiset alone keys a state
     acc = {_unpack(packed, bits): count for (_, _, packed), count in states.items()}
     return p_to_e(SymFunc._trusted(Basis.POWERSUM, acc))
+
+
+def cut_terms_by_splits(sizes, slots, r: int, free, base: int, w: int) -> dict[int, int]:
+    """engine._cut_terms with both ends placed anew for every split:
+    for each t of the r interior vertices that attach to the ends, and
+    each way x + (t - x) two blocks share them, the offset of the grown
+    blocks, with sign (-1)**t, shifts the free middle free[r - t].  One
+    block takes all t in t + 1 ways, and r ways at t = r."""
+    terms: dict[int, int] = {}
+    get = terms.get
+    for t in range(r + 1):
+        splits: dict[int, int] = {}
+        if len(sizes) == 1:
+            coeff = (-1) ** t * (t + 1 if t < r else r)
+            splits[_place(sizes[0] + t, slots[0], base, w)] = coeff
+        else:
+            for x in range(t + 1):
+                split = _place(sizes[0] + x, slots[0], base, w) + _place(
+                    sizes[1] + t - x, slots[1], base, w
+                )
+                splits[split] = splits.get(split, 0) + (-1) ** t
+        for split, coeff in splits.items():
+            for key, c in free[r - t].items():
+                key += split
+                terms[key] = get(key, 0) + coeff * c
+    return terms
 
 
 def chromatic_polynomial_by_deletion_contraction(graph: Graph) -> tuple[int, ...]:

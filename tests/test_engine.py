@@ -8,6 +8,7 @@ reference.py, by algebraic invariants (disjoint unions multiply) and,
 in test_acceptance, by the independent coloring counter.
 """
 
+import itertools
 import json
 import random
 import time
@@ -52,6 +53,7 @@ from reference import (
     csf_by_edge_subsets,
     csf_by_edge_transfer,
     csf_cycle_chord_signed,
+    cut_terms_by_splits,
     monomial,
     signed_chord_weight,
     triple_split_graphs,
@@ -379,6 +381,22 @@ def chained_graphs(draw):
 @given(chained_graphs())
 def test_oracle_matches_edge_by_edge_transfer(g):
     assert csf_oracle(g) == csf_by_edge_transfer(g)
+
+
+@pytest.mark.parametrize("r", range(7))
+@pytest.mark.parametrize("slots", [(0,), (None,), (0, 1), (None, None), (2, None), (None, 1)],
+                         ids=["open", "closing", "both-open", "both-closing", "open-closing",
+                              "closing-open"])
+def test_cut_terms_match_placing_both_ends_per_split(r, slots):
+    # each end's offsets placed once per call give the terms of placing
+    # them anew for every split, once cancelled terms are dropped
+    n = 16
+    w = symfunc._width(n)
+    free = symfunc._arrangement_table(w, r)
+    for sizes in itertools.product(range(1, 4), repeat=len(slots)):
+        args = (sizes, slots, r, free, n * w, w)
+        fast, slow = engine._cut_terms(*args), cut_terms_by_splits(*args)
+        assert {k: c for k, c in fast.items() if c} == {k: c for k, c in slow.items() if c}, sizes
 
 
 def test_chains_of_a_graph():

@@ -195,8 +195,9 @@ def test_product_properties_random(f, g, h):
     assert f * monomial(E, ()) == f
 
 
-@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("n", range(23))
 def test_pack_round_trips_every_partition(n):
+    # across the digit width's step from 4 to 5 bits at n = 16
     w = _width(n)
     for lam in partitions(n):
         assert _unpack(_pack(lam, w), w) == lam
@@ -206,6 +207,14 @@ def test_pack_multiplicity_fills_its_digit():
     assert _width(15) == 4
     assert _pack((1,) * 15, 4) == 0b1111
     assert _unpack(0b1111, 4) == (1,) * 15
+
+
+@pytest.mark.parametrize("lam, w", [((2,) * 15, 4), ((1,) * 31, 5)])
+def test_unpack_reads_a_full_top_digit(lam, w):
+    # the decode finds the top digit by the key's bit_length; a digit of
+    # all ones must not be read as part of the digit above it
+    assert _pack(lam, w) == ((1 << w) - 1) << (lam[0] - 1) * w
+    assert _unpack(_pack(lam, w), w) == lam
 
 
 @settings(max_examples=150, deadline=None)
@@ -221,6 +230,24 @@ def test_packed_product_matches_sorting_joined_parts(f, g, scale):
     nonzero = {lam: c for lam, c in joined.items() if c}
     # cancelled keys stay in packed; the decode drops them
     assert _unpacked(packed, w) == nonzero
+
+
+def test_multiply_into_is_the_same_either_way_round():
+    # the smaller factor runs outside, whichever way round it is given,
+    # and its zero coefficients are skipped: all zeros add no key
+    w = _width(12)
+    f = _packed({(3, 2): 2, (2, 1): -1, (1,): 5}, w)
+    g = _packed({(4, 1, 1): 3, (2,): 0, (5, 1): -2, (1,): 1, (3,): 7}, w)
+    one_way: dict[int, int] = {}
+    other_way: dict[int, int] = {}
+    _multiply_into(one_way, f, g)
+    _multiply_into(other_way, g, f)
+    assert _unpacked(one_way, w) == _unpacked(other_way, w) != {}
+    zeros = dict.fromkeys(list(g)[:2], 0)
+    for a, b in (f, zeros), (zeros, f):
+        out: dict[int, int] = {}
+        _multiply_into(out, a, b)
+        assert out == {}
 
 
 def test_product_agrees_with_evaluation():
