@@ -46,6 +46,7 @@ from .graphs import (
     GraphSpec,
     ResourceLimitError,
     build_graph,
+    check_memo_edges,
     count_proper_colorings,
     theta_graph,
 )
@@ -290,12 +291,13 @@ def csf_oracle(graph: Graph) -> SymFunc:
     middle closes as the path's expansion A_(r - t) (Stanley 1995,
     Thm 2.5), read from symfunc's arrangement table at width w.  Each
     way changes a key by an offset that depends only on the end blocks'
-    sizes, so a step folds them, and the closing of blocks left with no
-    live vertex, into one cached polynomial per target labels and
-    sizes.  The work follows the live terms, so the call refuses once
-    a step has made more than _ORACLE_MAX_STATES of them, counted as
-    they are made; before any step, the table refuses a chain whose
-    free middles would need an A_r past p_to_e's budget.
+    sizes, so a step caches per sizes the cut terms, with the closing
+    of blocks left with no live vertex, and the kept offset, bound for
+    its own target labels; one block's cut terms fold in the kept chain.
+    The work follows the live terms, so the call refuses once a step
+    has made more than _ORACLE_MAX_STATES of them, counted as they are
+    made; before any step, the table refuses a chain whose free middles
+    would need an A_r past p_to_e's budget.
     """
     n = graph.n
     chains = _graph_chains(graph)
@@ -349,26 +351,22 @@ def csf_oracle(graph: Graph) -> SymFunc:
             shb = base + (b if a != b else n) * w
             # two blocks that both close weigh the same with sizes swapped
             swap = a != b and na is None and nb is None
-            split = kept != cut
 
             def build(sizes: int):
-                # the kept offset comes first when it goes to its own target
+                # one block's cut terms already fold in the chain kept whole
                 sa, sb = sizes >> w or 1, sizes & digit or 1
-                if a == b:
-                    folded = _cut_terms((sa,), (na,), r, free, base, w)
-                else:
-                    folded = _cut_terms((sa, sb), (na, nb), r, free, base, w)
-                    k = _place(sa + sb + r, nm, base, w)
-                    if split:
-                        return k, tuple(item for item in folded.items() if item[1])
-                    folded[k] = folded.get(k, 0) + kept_sign
-                return tuple(item for item in folded.items() if item[1])
+                ends = ((sa,), (na,)) if a == b else ((sa, sb), (na, nb))
+                terms = _cut_terms(*ends, r, free, base, w)
+                k = None if a == b else _place(sa + sb + r, nm, base, w)
+                return k, tuple(item for item in terms.items() if item[1])
 
-            cache = caches.setdefault((a == b, na, nb, nm, split), {})
+            cache = caches.setdefault((a == b, na, nb, nm), {})
             out = step.setdefault(cut, {})
-            kout = step.setdefault(kept, {}) if split else {}
+            kout = step.setdefault(kept, {})  # out itself when they coincide
             get, kget = out.get, kout.get
-            before = len(out) + len(kout)
+            # live terms in the targets, a shared dict read once
+            live = out.__len__ if kout is out else lambda: len(out) + len(kout)
+            before = live()
             limit = budget - made + before
             for key, c in poly.items():
                 if not c:
@@ -377,22 +375,19 @@ def csf_oracle(graph: Graph) -> SymFunc:
                 sb = key >> shb & digit
                 rest = key - (sa << sha) - (sb << shb)
                 sizes = sb << w | sa if swap and sb < sa else sa << w | sb
-                terms = cache.get(sizes)
-                if terms is None:
-                    terms = cache[sizes] = build(sizes)
-                if split:
-                    k, terms = terms
+                k, terms = cache.get(sizes) or cache.setdefault(sizes, build(sizes))
+                for off, f in terms:
+                    off += rest
+                    out[off] = get(off, 0) + c * f
+                if k is not None:
                     k += rest
                     kout[k] = kget(k, 0) + kept_sign * c
-                for off, f in terms:
-                    k = rest + off
-                    out[k] = get(k, 0) + c * f
-                if len(out) + len(kout) > limit:
+                if live() > limit:
                     raise ResourceLimitError(
                         f"oracle transfer capped at {budget} live states, chain {idx + 1} "
-                        f"of {len(chains)} left {len(out) + len(kout) - limit + budget}"
+                        f"of {len(chains)} left {live() - limit + budget}"
                     )
-            made += len(out) + len(kout) - before
+            made += live() - before
         states = step
         for p, keep in enumerate(alive):
             if not keep:
@@ -450,9 +445,10 @@ def verify(spec: GraphSpec) -> VerificationReport:
 
     Evaluates the closed formula first when the family has one, so a
     size the formulas refuse stops the run before the graph is built, as
-    does a spec whose function p_to_e would refuse; then always runs
-    the edge-subset oracle, and checks the principal specialization
-    against the independent coloring count at k = 0..n.
+    does a spec whose function p_to_e would refuse or whose edges the
+    coloring memo could not hold; then always runs the edge-subset
+    oracle, and checks the principal specialization against the
+    independent coloring count at k = 0..n.
     """
     timings: dict[str, float] = {}
 
@@ -461,6 +457,7 @@ def verify(spec: GraphSpec) -> VerificationReport:
     timings["formula"] = time.perf_counter() - start
 
     check_conversion_table(spec)
+    check_memo_edges(FAMILIES[spec.family].size(spec)[1])
     graph = build_graph(spec)
 
     start = time.perf_counter()

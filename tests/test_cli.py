@@ -3,6 +3,7 @@ formats, determinism, and exit codes."""
 
 import argparse
 import ast
+import hashlib
 import importlib
 import importlib.util
 import itertools
@@ -19,6 +20,7 @@ import pytest
 
 import chromsym.cli as cli
 import chromsym.engine as engine
+import chromsym.graphs as graphs
 import chromsym.symfunc as symfunc
 from chromsym.cli import SpecParseError, build_parser, main, parse_composition, parse_graph_spec
 from chromsym.engine import csf_cycle_chord, scan_theta, theta_scan_cells
@@ -387,6 +389,21 @@ def test_verify_refuses_formula_sizes_before_the_oracle(monkeypatch, capsys):
     )
 
 
+def test_verify_refuses_memo_sizes_before_the_oracle(monkeypatch, capsys):
+    # theta(3,3,2) has 8 edges, one more than the memo may hold here, so
+    # the spec is refused before the graph is built or the oracle runs
+    def refuse(*args):
+        raise AssertionError("the graph was built or the oracle ran")
+
+    monkeypatch.setattr(graphs, "_CHROM_MAX_MEMO", 7)
+    monkeypatch.setattr(engine, "build_graph", refuse)
+    monkeypatch.setattr(engine, "csf_oracle", refuse)
+    assert main(["verify", "theta:3,3,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: deletion-contraction capped at 7 edges in its memo, graph has 8\n"
+
+
 @pytest.mark.parametrize("argv, n", [
     (["csf", "path:1000000"], 1000000),
     (["csf", "glambda:1000000"], 1000001),
@@ -575,6 +592,20 @@ def test_state_budget_is_inclusive(monkeypatch, capsys):
     monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 2)
     assert main(["csf", "edges:3;0-1"]) == 0
     assert capsys.readouterr().out == "2e_{21}\n"
+
+
+def test_outputs_match_the_benchmark_reference_digests(capsys):
+    # every csf and verify request the benchmark can pick, keyed by its
+    # argv joined with spaces, against the SHA-256 of its recorded stdout
+    reference = SRC.parent / "perfbench" / "reference" / "digests.json"
+    digests = json.loads(reference.read_text(encoding="utf-8"))
+    assert len(digests) == 84
+    differ = []
+    for key, want in digests.items():
+        assert main(key.split(" ")) == 0, key
+        if hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() != want:
+            differ.append(key)
+    assert differ == []
 
 
 # ----------------------------------------------------------- scan-theta

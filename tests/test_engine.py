@@ -249,6 +249,25 @@ def test_oracle_counts_terms_as_they_are_made(monkeypatch):
     assert csf_oracle(g) == csf_by_edge_transfer(g)
 
 
+def test_oracle_counts_a_shared_target_once_and_keeps_its_order(monkeypatch):
+    # in both graphs some chain has kept and cut terms with one target
+    # labelling, so they land in one dict: the count reads it once, and
+    # the kept term is written after the cut terms, an order the next
+    # chain's refusal point depends on
+    tadpole = tadpole_graph(7, 5)
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 76)
+    with pytest.raises(ResourceLimitError) as exc:
+        csf_oracle(tadpole)
+    assert str(exc.value) == "oracle transfer capped at 76 live states, chain 2 of 2 left 77"
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 77)
+    assert csf_oracle(tadpole) == csf_tadpole(7, 5)
+    edges = ((0, 1), (0, 4), (0, 6), (2, 6), (3, 5), (3, 6), (4, 5))
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 5)
+    with pytest.raises(ResourceLimitError) as exc:
+        csf_oracle(Graph(7, edges))
+    assert str(exc.value) == "oracle transfer capped at 5 live states, chain 3 of 4 left 12"
+
+
 def test_oracle_caps_the_free_middle_tables(monkeypatch):
     # a chain of r inner vertices reads A_0, ..., A_r, and the table
     # refuses the first A_r past p_to_e's budget before any chain step:
