@@ -153,10 +153,9 @@ def _delta_picture(comp: Composition, b: int) -> list[str]:
     # one cell per vertex of the segments i_1, ..., i_z, i_1, one per bar
     width = sum(comp) + comp[0] + len(comp) + 2
     if width > _DELTA_MAX_CELLS:
-        raise ResourceLimitError(
-            f"delta picture capped at {_DELTA_MAX_CELLS} cells, this one "
-            f"needs {width}; --format json prints the segments instead"
-        )
+        raise ResourceLimitError.capped("delta picture", _DELTA_MAX_CELLS, "cells",
+                                        f"this one needs {width}; --format json prints "
+                                        "the segments instead")
     d = segment_dissection(comp, b)
     lo, hi = d.window
     z = len(comp)

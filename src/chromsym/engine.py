@@ -80,10 +80,8 @@ def _aggregate(n: int, coeff: Callable[[Composition], int]) -> SymFunc:
     compositions of n, collected by underlying partition.  Refuses n
     above _FORMULA_MAX_VERTICES."""
     if n > _FORMULA_MAX_VERTICES:
-        raise ResourceLimitError(
-            f"closed formulas capped at {_FORMULA_MAX_VERTICES} vertices, "
-            f"graph has {n} (2**{n - 1} compositions)"
-        )
+        raise ResourceLimitError.capped("closed formulas", _FORMULA_MAX_VERTICES, "vertices",
+                                        f"graph has {n} (2**{n - 1} compositions)")
     acc: dict[Partition, int] = {}
     # compress drops the compositions of weight 0 in C, one step each
     for comp in compress(compositions(n), weight_flags(n)):
@@ -383,10 +381,9 @@ def csf_oracle(graph: Graph) -> SymFunc:
                     k += rest
                     kout[k] = kget(k, 0) + kept_sign * c
                 if live() > limit:
-                    raise ResourceLimitError(
-                        f"oracle transfer capped at {budget} live states, chain {idx + 1} "
-                        f"of {len(chains)} left {live() - limit + budget}"
-                    )
+                    raise ResourceLimitError.capped("oracle transfer", budget, "live states",
+                                                    f"chain {idx + 1} of {len(chains)} "
+                                                    f"left {live() - limit + budget}")
             made += live() - before
         states = step
         for p, keep in enumerate(alive):
@@ -599,11 +596,15 @@ def scan_theta(
 
     Every cell goes through csf_oracle on its theta graph, whose three
     paths are its chains, so no cell has an edge bound, only the
-    oracle's budget of live terms.  With a checkpoint path, finished
-    rows are appended as JSON lines and a rerun replays them without
+    oracle's budget of live terms.  Every cell is connected, so one on
+    n vertices converts through A_n at width _width(n); the table is
+    grown to A_n_max first, and an n_max that p_to_e would refuse is
+    refused before any work.  With a checkpoint path, finished rows are
+    appended as JSON lines and a rerun replays them without
     recomputation; a path that cannot be read or appended to raises
     ValueError before any work.
     """
+    _arrangement_table(_width(n_max), n_max)
     cells = theta_scan_cells(n_max)
     try:
         done = _load_checkpoint(checkpoint) if checkpoint else {}

@@ -18,6 +18,10 @@ class ResourceLimitError(RuntimeError):
     """A computation would exceed its budget of work or memory; the
     message names the budget and what went past it."""
 
+    @classmethod
+    def capped(cls, budget: str, limit: int, unit: str, detail: str) -> ResourceLimitError:
+        return cls(f"{budget} capped at {limit} {unit}, {detail}")
+
 
 Edge = tuple[int, int]
 
@@ -402,10 +406,8 @@ def _minors(key):
 def check_memo_edges(m: int) -> None:
     """Refuse a graph of m edges, more than the coloring memo may hold."""
     if m > _CHROM_MAX_MEMO:
-        raise ResourceLimitError(
-            f"deletion-contraction capped at {_CHROM_MAX_MEMO} edges in its "
-            f"memo, graph has {m}"
-        )
+        raise ResourceLimitError.capped("deletion-contraction", _CHROM_MAX_MEMO,
+                                        "edges in its memo", f"graph has {m}")
 
 
 @functools.lru_cache(maxsize=1)
@@ -439,10 +441,8 @@ def chromatic_polynomial(graph: Graph) -> tuple[int, ...]:
         if minors is None:
             held += len(key[1])
             if held > _CHROM_MAX_MEMO:
-                raise ResourceLimitError(
-                    f"deletion-contraction capped at {_CHROM_MAX_MEMO} edges "
-                    "in its memo, this graph needs more"
-                )
+                raise ResourceLimitError.capped("deletion-contraction", _CHROM_MAX_MEMO,
+                                                "edges in its memo", "this graph needs more")
             minors = _minors(key)
             stack.append((key, minors))
             stack.extend((k, None) for _, (_, k) in minors)
@@ -481,10 +481,8 @@ def check_stable_vertices(n: int) -> None:
     """Refuse a graph of n vertices, more than the stable-partition
     search takes."""
     if n > _STABLE_MAX_VERTICES:
-        raise ResourceLimitError(
-            f"stable-partition search capped at {_STABLE_MAX_VERTICES} "
-            f"vertices, graph has {n}"
-        )
+        raise ResourceLimitError.capped("stable-partition search", _STABLE_MAX_VERTICES,
+                                        "vertices", f"graph has {n}")
 
 
 def stable_partition_types(graph: Graph) -> set[Partition]:

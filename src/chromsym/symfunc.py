@@ -264,10 +264,8 @@ def _arrangement_table(w: int, top: int) -> list[dict[int, int]]:
                     break
                 out[key + part] = sign * c * (key % digits + 1) // ((key >> shift & digits) + 1)
         if len(out) > _P_TO_E_MAX_TERMS:
-            raise ResourceLimitError(
-                f"p_to_e capped at {_P_TO_E_MAX_TERMS} accumulator terms, "
-                f"the image of p_{r} has {len(out)}"
-            )
+            raise ResourceLimitError.capped("p_to_e", _P_TO_E_MAX_TERMS, "accumulator terms",
+                                            f"the image of p_{r} has {len(out)}")
         arrangements.append(out)
     return arrangements
 
@@ -324,10 +322,8 @@ def p_to_e(f: SymFunc) -> SymFunc:
             acc, below = stack.pop(), stack[-1]
             _multiply_into(below, images[prefix.pop()], acc)
             if len(below) > _P_TO_E_MAX_TERMS:
-                raise ResourceLimitError(
-                    f"p_to_e capped at {_P_TO_E_MAX_TERMS} accumulator terms, "
-                    f"a product made {len(below)}"
-                )
+                raise ResourceLimitError.capped("p_to_e", _P_TO_E_MAX_TERMS, "accumulator terms",
+                                                f"a product made {len(below)}")
 
     for lam, c in terms:
         ones = lam.count(1)

@@ -61,15 +61,15 @@ def _report(num: int, label: str, started: float, budget: float | None = None):
 
 def _family_sweep():
     """The graphs of criterion 2, with their closed-form functions."""
-    for n in range(1, 10):
+    for n in range(1, 15):
         yield path_graph(n), csf_path(n)
-    for n in range(3, 10):
+    for n in range(3, 15):
         yield cycle_graph(n), csf_cycle(n)
-    for m in range(3, 10):
-        for tail in range(0, 10 - m):
+    for m in range(3, 15):
+        for tail in range(0, 15 - m):
             yield tadpole_graph(m, tail), csf_tadpole(m, tail)
-    for a in range(2, 9):
-        for b in range(2, 11 - a):
+    for a in range(2, 13):
+        for b in range(2, 15 - a):
             yield cycle_chord_graph(a, b), csf_cycle_chord(a, b)
 
 
@@ -88,7 +88,7 @@ def test_criterion_02_formulas_match_oracle():
     for graph, formula in _family_sweep():
         assert formula == csf_oracle(graph), graph
         checked += 1
-    assert checked == 9 + 7 + 28 + 28
+    assert checked == 14 + 12 + 78 + 66
     _report(2, f"{checked} family graphs agree with the edge-subset oracle", started, 30.0)
 
 

@@ -284,7 +284,10 @@ def test_delta_picture_width_is_capped(capsys):
     assert main(["delta", "4998,2", "--b", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "--format json" in captured.err
+    assert captured.err == (
+        "error: delta picture capped at 10000 cells, this one needs 10002; "
+        "--format json prints the segments instead\n"
+    )
     # JSON holds no picture, so a composition of two million vertices
     # still prints in full
     assert main(["delta", "2000000,2,2", "--b", "3", "--format", "json"]) == 0
@@ -462,6 +465,22 @@ def test_long_cycle_is_refused_before_any_chain_step(monkeypatch, capsys):
     monkeypatch.setattr(symfunc, "_TABLES", {})
     cycle = ",".join(f"{v}-{(v + 1) % 45}" for v in range(45))
     assert main(["csf", f"edges:45;{cycle}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {CONVERSION_REFUSAL}\n"
+
+
+@pytest.mark.parametrize("n_max", ["42", "100000"])
+def test_scan_refuses_an_unconvertible_max_n_before_any_cell(n_max, monkeypatch, capsys):
+    # every cell on 42 or more vertices converts through A_42, so the
+    # scan is refused before its cells are listed or any transfer runs
+    def refuse(*args):
+        raise AssertionError("the cells were listed or a chain step ran")
+
+    monkeypatch.setattr(engine, "theta_scan_cells", refuse)
+    monkeypatch.setattr(engine, "_cut_terms", refuse)
+    monkeypatch.setattr(symfunc, "_TABLES", {})
+    assert main(["scan-theta", "--max-n", n_max]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {CONVERSION_REFUSAL}\n"
