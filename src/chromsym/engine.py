@@ -50,6 +50,7 @@ from .graphs import (
     count_proper_colorings,
     theta_graph,
 )
+from . import symfunc
 from .symfunc import (
     Basis,
     EPositivityReport,
@@ -71,6 +72,11 @@ _ORACLE_MAX_STATES = 500_000
 # The formulas visit all 2**(n-1) compositions of n; at n = 26 that is
 # 2**25 of them, 6 to 7 s per family on a 2-CPU host.
 _FORMULA_MAX_VERTICES = 26
+
+# Cut terms of oracle chain steps whose blocks both close (nm is None),
+# kept across calls per width: [the table read, terms held, {(r, a == b):
+# {sizes: build}}], cleared with the table or before passing p_to_e's cap.
+_CLOSING: dict[int, list] = {}
 
 
 # --------------------------------------------------------------- formulas
@@ -292,6 +298,8 @@ def csf_oracle(graph: Graph) -> SymFunc:
     sizes, so a step caches per sizes the cut terms, with the closing
     of blocks left with no live vertex, and the kept offset, bound for
     its own target labels; one block's cut terms fold in the kept chain.
+    When both end blocks close, the cut terms read no label, slot or
+    base, so they are kept across calls in _CLOSING, per width and r.
     The work follows the live terms, so the call refuses once a step
     has made more than _ORACLE_MAX_STATES of them, counted as they are
     made; before any step, the table refuses a chain whose free middles
@@ -307,6 +315,9 @@ def csf_oracle(graph: Graph) -> SymFunc:
         last[u] = last[v] = idx
     interior = [r for _, _, r in chains]
     free = _arrangement_table(w, max(interior, default=0))
+    if _CLOSING.get(w, (None,))[0] is not free:
+        _CLOSING[w] = [free, 0, {}]
+    closing, cap = _CLOSING[w], symfunc._P_TO_E_MAX_TERMS
     budget = _ORACLE_MAX_STATES
     slot_of: dict[int, int] = {}
     spare: list[int] = []
@@ -349,14 +360,23 @@ def csf_oracle(graph: Graph) -> SymFunc:
             shb = base + (b if a != b else n) * w
             # two blocks that both close weigh the same with sizes swapped
             swap = a != b and na is None and nb is None
+            kept_builds = closing[2].setdefault((r, a == b), {}) if nm is None else None
 
             def build(sizes: int):
+                if sizes in (kept_builds or ()):
+                    return kept_builds[sizes]
                 # one block's cut terms already fold in the chain kept whole
                 sa, sb = sizes >> w or 1, sizes & digit or 1
                 ends = ((sa,), (na,)) if a == b else ((sa, sb), (na, nb))
-                terms = _cut_terms(*ends, r, free, base, w)
                 k = None if a == b else _place(sa + sb + r, nm, base, w)
-                return k, tuple(item for item in terms.items() if item[1])
+                terms = {off: f for off, f in _cut_terms(*ends, r, free, base, w).items() if f}
+                made = k, tuple(terms), tuple(terms.values())
+                if kept_builds is not None and len(terms) <= cap:
+                    if closing[1] + len(terms) > cap:
+                        closing[1:] = 0, {}
+                    closing[1] += len(terms)
+                    closing[2].setdefault((r, a == b), {})[sizes] = made
+                return made
 
             cache = caches.setdefault((a == b, na, nb, nm), {})
             out = step.setdefault(cut, {})
@@ -373,8 +393,8 @@ def csf_oracle(graph: Graph) -> SymFunc:
                 sb = key >> shb & digit
                 rest = key - (sa << sha) - (sb << shb)
                 sizes = sb << w | sa if swap and sb < sa else sa << w | sb
-                k, terms = cache.get(sizes) or cache.setdefault(sizes, build(sizes))
-                for off, f in terms:
+                k, offs, coeffs = cache.get(sizes) or cache.setdefault(sizes, build(sizes))
+                for off, f in zip(offs, coeffs):
                     off += rest
                     out[off] = get(off, 0) + c * f
                 if k is not None:

@@ -12,6 +12,7 @@ import itertools
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,8 @@ from reference import (
     signed_chord_weight,
     triple_split_graphs,
 )
+
+REFERENCE_ROWS = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "scan_rows.jsonl"
 
 
 def random_graph(rng, n, p=0.35):
@@ -266,6 +269,32 @@ def test_oracle_counts_a_shared_target_once_and_keeps_its_order(monkeypatch):
     with pytest.raises(ResourceLimitError) as exc:
         csf_oracle(Graph(7, edges))
     assert str(exc.value) == "oracle transfer capped at 5 live states, chain 3 of 4 left 12"
+
+
+def test_kept_closing_cut_terms_change_no_result_and_no_refusal(monkeypatch):
+    # a closing step's cut terms outlive the call that built them, keyed
+    # by width, r and one block or two: every theta cell agrees with the
+    # table-free reference whichever graphs warmed the cache, in either
+    # order, as do paths and cycles, whose one chain has fresh ends, so
+    # one block and two read the same sizes; and the pinned refusals
+    # above still stop at the same term
+    monkeypatch.setattr(engine, "_CLOSING", {})
+    graphs = [theta_graph(*cell) for cell in theta_scan_cells(12)]
+    graphs += [make(n) for n in range(3, 13) for make in (path_graph, cycle_graph)]
+    for g in [*graphs, *reversed(graphs)]:
+        assert csf_oracle(g) == csf_by_edge_transfer(g), g
+    assert engine._CLOSING
+    for graph, budget, left in [
+        (tadpole_graph(7, 5), 76, "chain 2 of 2 left 77"),
+        (Graph(7, ((0, 1), (0, 4), (0, 6), (2, 6), (3, 5), (3, 6), (4, 5))), 5,
+         "chain 3 of 4 left 12"),
+    ]:
+        monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", budget)
+        with pytest.raises(ResourceLimitError) as exc:
+            csf_oracle(graph)
+        assert str(exc.value) == f"oracle transfer capped at {budget} live states, {left}"
+    monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 77)
+    assert csf_oracle(tadpole_graph(7, 5)) == csf_tadpole(7, 5)
 
 
 def test_oracle_caps_the_free_middle_tables(monkeypatch):
@@ -484,15 +513,42 @@ def test_transfer_and_conversion_share_one_arrangement_table(monkeypatch):
     for module in engine, reference:  # keep both routes' p-basis sums
         monkeypatch.setattr(module, "p_to_e", lambda f: f)
     g = multipath_graph((4, 2, 2))
-    assert csf_oracle(g) == csf_by_edge_transfer(g)
+    # one chain of 3 inner vertices whose ends both retire: its cut terms
+    # are kept across calls, and must be dropped with the table they read
+    path = path_graph(5)
+    for graph in g, path:
+        assert csf_oracle(graph) == csf_by_edge_transfer(graph)
     w = symfunc._width(g.n)
+    assert symfunc._width(path.n) == w
     table = symfunc._arrangement_table(w, 3)
     honest_image = symfunc._image_table(w, 3)[3]
     three = symfunc._pack((3,), w)
     planted = [*table[:3], {**table[3], three: table[3][three] + 1}]
     monkeypatch.setattr(symfunc, "_TABLES", {w: (planted, [{0: 1}])})
     assert csf_oracle(g) != csf_by_edge_transfer(g)
+    assert csf_oracle(path) != csf_by_edge_transfer(path)
     assert symfunc._image_table(w, 3)[3] != honest_image
+
+
+def test_kept_closing_cut_terms_stay_within_the_conversion_budget(monkeypatch):
+    # the kept cut terms share p_to_e's budget, one count per width: under
+    # a budget of 40 the scan to 9 vertices clears them on the way, and
+    # its rows stay the reference rows
+    monkeypatch.setattr(symfunc, "_P_TO_E_MAX_TERMS", 40)
+    monkeypatch.setattr(symfunc, "_TABLES", {})
+    monkeypatch.setattr(engine, "_CLOSING", {})
+    with open(REFERENCE_ROWS, encoding="utf-8") as fh:
+        expected = fh.read().splitlines()
+    held: list[dict[int, int]] = []
+    rows = []
+    for row in scan_theta(9):
+        rows.append(row.to_json())
+        held.append({w: sum(len(offs) for builds in kept.values() for _, offs, _ in builds.values())
+                     for w, (_, _, kept) in engine._CLOSING.items()})
+        assert held[-1] == {w: entry[1] for w, entry in engine._CLOSING.items()}
+        assert all(terms <= 40 for terms in held[-1].values())
+    assert rows == expected[:len(rows)]
+    assert any(now.get(w, 0) < held[i].get(w, 0) for i, now in enumerate(held[1:]) for w in now)
 
 
 def test_multipath_transfer_rejects_what_the_builder_rejects():
