@@ -73,10 +73,10 @@ _ORACLE_MAX_STATES = 500_000
 # 2**25 of them, 6 to 7 s per family on a 2-CPU host.
 _FORMULA_MAX_VERTICES = 26
 
-# Cut terms of oracle chain steps whose blocks both close (nm is None),
-# kept across calls per width: [the table read, terms held, {(r, a == b):
-# {sizes: build}}], cleared with the table or before passing p_to_e's cap.
-_CLOSING: dict[int, list] = {}
+# Cut terms of oracle chain steps, kept across calls per width: [the table
+# read, terms held, {(r, a == b, na, nb, nm): {sizes: build}}], cleared
+# with the table or before passing p_to_e's cap.
+_KEPT_CUTS: dict[int, list] = {}
 
 
 # --------------------------------------------------------------- formulas
@@ -287,19 +287,22 @@ def csf_oracle(graph: Graph) -> SymFunc:
     enumerated; vertices on no chain are isolated.  A state maps the
     block labels of the live branch vertices (touched, and not past
     their last chain) to one power-sum polynomial on packed keys:
-    the closed component sizes in the low n * w bits, in symfunc's codec
-    at w = n.bit_length(), and each open block's size as a w-bit digit
-    above them, at the slot of its first live vertex.  A chain of r
-    interior vertices is kept whole, merging its ends' blocks with sign
-    (-1)**(r + 1), or cut: t vertices attach to the ends and the free
-    middle closes as the path's expansion A_(r - t) (Stanley 1995,
-    Thm 2.5), read from symfunc's arrangement table at width w.  Each
+    the closed component sizes in the low (2**w - 1) * w bits, in
+    symfunc's codec at w = n.bit_length(), and each open block's size as
+    a w-bit digit above them, at the slot of its first live vertex.  A
+    chain of r interior vertices is kept whole, merging its ends' blocks
+    with sign (-1)**(r + 1), or cut: t vertices attach to the ends and
+    the free middle closes as the path's expansion A_(r - t) (Stanley
+    1995, Thm 2.5), read from symfunc's arrangement table at width w.  Each
     way changes a key by an offset that depends only on the end blocks'
-    sizes, so a step caches per sizes the cut terms, with the closing
-    of blocks left with no live vertex, and the kept offset, bound for
-    its own target labels; one block's cut terms fold in the kept chain.
-    When both end blocks close, the cut terms read no label, slot or
-    base, so they are kept across calls in _CLOSING, per width and r.
+    sizes, so a step builds once per sizes the cut terms, with the
+    closing of blocks left with no live vertex, and the kept offset,
+    bound for its own target labels; one block's cut terms fold in the
+    kept chain.  A build reads no label and, since the digits start at
+    a base set by w alone, no n: only r, one block or two, the slots the
+    end blocks move to and their sizes.  So the builds are kept across
+    calls in _KEPT_CUTS, per width, up to p_to_e's budget of terms; a
+    build larger than that lives only for its call.
     The work follows the live terms, so the call refuses once a step
     has made more than _ORACLE_MAX_STATES of them, counted as they are
     made; before any step, the table refuses a chain whose free middles
@@ -308,16 +311,19 @@ def csf_oracle(graph: Graph) -> SymFunc:
     n = graph.n
     chains = _graph_chains(graph)
     w = _width(n)
-    base = n * w
     digit = (1 << w) - 1
+    # the closed parts, at most n < 2**w, fit below base whatever n is
+    base = digit * w
     last: dict[int, int] = {}
     for idx, (u, v, _) in enumerate(chains):
         last[u] = last[v] = idx
     interior = [r for _, _, r in chains]
     free = _arrangement_table(w, max(interior, default=0))
-    if _CLOSING.get(w, (None,))[0] is not free:
-        _CLOSING[w] = [free, 0, {}]
-    closing, cap = _CLOSING[w], symfunc._P_TO_E_MAX_TERMS
+    if _KEPT_CUTS.get(w, (None,))[0] is not free:
+        _KEPT_CUTS[w] = [free, 0, {}]
+    kept_cuts, cap = _KEPT_CUTS[w], symfunc._P_TO_E_MAX_TERMS
+    store = kept_cuts[2]
+    oversize: dict[tuple, tuple] = {}  # builds past cap, for this call only
     budget = _ORACLE_MAX_STATES
     slot_of: dict[int, int] = {}
     spare: list[int] = []
@@ -344,7 +350,6 @@ def csf_oracle(graph: Graph) -> SymFunc:
         def target(labels, relabel):
             return tuple(relabel.get(x, x) for x, keep in zip(labels, alive) if keep)
 
-        caches: dict[tuple, dict[int, tuple]] = {}
         step: dict[tuple[int, ...], dict[int, int]] = {}
         made = 0
         for labels, poly in states.items():
@@ -356,29 +361,35 @@ def csf_oracle(graph: Graph) -> SymFunc:
             cut = target(labels, {a: na, b: nb})
             kept = target(labels, {a: nm, b: nm})
             sha = base + a * w
-            # one block is read once: slot n is never used, so b reads 0
-            shb = base + (b if a != b else n) * w
+            # one block is read once: slot 2**w - 1 is never used, so b reads 0
+            shb = base + (b if a != b else digit) * w
             # two blocks that both close weigh the same with sizes swapped
             swap = a != b and na is None and nb is None
-            kept_builds = closing[2].setdefault((r, a == b), {}) if nm is None else None
+            # the build reads no label and no n, so every call at width w shares it
+            shape = (r, a == b, na, nb, nm)
+            builds = store.setdefault(shape, {})
 
             def build(sizes: int):
-                if sizes in (kept_builds or ()):
-                    return kept_builds[sizes]
+                if (shape, sizes) in oversize:
+                    return oversize[shape, sizes]
                 # one block's cut terms already fold in the chain kept whole
                 sa, sb = sizes >> w or 1, sizes & digit or 1
                 ends = ((sa,), (na,)) if a == b else ((sa, sb), (na, nb))
                 k = None if a == b else _place(sa + sb + r, nm, base, w)
                 terms = {off: f for off, f in _cut_terms(*ends, r, free, base, w).items() if f}
                 made = k, tuple(terms), tuple(terms.values())
-                if kept_builds is not None and len(terms) <= cap:
-                    if closing[1] + len(terms) > cap:
-                        closing[1:] = 0, {}
-                    closing[1] += len(terms)
-                    closing[2].setdefault((r, a == b), {})[sizes] = made
+                if len(terms) > cap:
+                    oversize[shape, sizes] = made
+                    return made
+                if kept_cuts[1] + len(terms) > cap:
+                    kept_cuts[1] = 0
+                    store.clear()
+                    builds.clear()
+                    store[shape] = builds
+                kept_cuts[1] += len(terms)
+                builds[sizes] = made
                 return made
 
-            cache = caches.setdefault((a == b, na, nb, nm), {})
             out = step.setdefault(cut, {})
             kout = step.setdefault(kept, {})  # out itself when they coincide
             get, kget = out.get, kout.get
@@ -393,7 +404,7 @@ def csf_oracle(graph: Graph) -> SymFunc:
                 sb = key >> shb & digit
                 rest = key - (sa << sha) - (sb << shb)
                 sizes = sb << w | sa if swap and sb < sa else sa << w | sb
-                k, offs, coeffs = cache.get(sizes) or cache.setdefault(sizes, build(sizes))
+                k, offs, coeffs = builds.get(sizes) or build(sizes)
                 for off, f in zip(offs, coeffs):
                     off += rest
                     out[off] = get(off, 0) + c * f

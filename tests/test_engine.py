@@ -271,19 +271,50 @@ def test_oracle_counts_a_shared_target_once_and_keeps_its_order(monkeypatch):
     assert str(exc.value) == "oracle transfer capped at 5 live states, chain 3 of 4 left 12"
 
 
+def _ladder(rungs: int) -> Graph:
+    # the graph of an edges: spec, two rails of rungs vertices joined
+    # rung by rung
+    top = [(v, v + 1) for v in range(rungs - 1)]
+    return Graph(2 * rungs, top + [(u + rungs, v + rungs) for u, v in top]
+                 + [(v, v + rungs) for v in range(rungs)])
+
+
 def test_kept_closing_cut_terms_change_no_result_and_no_refusal(monkeypatch):
-    # a closing step's cut terms outlive the call that built them, keyed
-    # by width, r and one block or two: every theta cell agrees with the
-    # table-free reference whichever graphs warmed the cache, in either
-    # order, as do paths and cycles, whose one chain has fresh ends, so
-    # one block and two read the same sizes; and the pinned refusals
-    # above still stop at the same term
-    monkeypatch.setattr(engine, "_CLOSING", {})
-    graphs = [theta_graph(*cell) for cell in theta_scan_cells(12)]
+    # every chain step's cut terms outlive the call that built them, keyed
+    # by width, r, one block or two and the slots the end blocks move to,
+    # but not by n: every graph agrees with the table-free reference
+    # whichever graphs warmed the store, ascending by n and then
+    # descending, across n and across the width's step from 4 to 5 bits
+    # at n = 16; paths and cycles have one chain with fresh ends, a
+    # tadpole's loop keeps its one block open for the tail, chorded cycles
+    # and glambda graphs add chains between two hubs, the ladders'
+    # frontiers reach slot 2, and the 7-vertex graph merges two open
+    # blocks into either one's slot; the pinned refusals above still stop
+    # at the same term on a warm store
+    monkeypatch.setattr(engine, "_KEPT_CUTS", {})
+    graphs = [theta_graph(*cell) for cell in theta_scan_cells(17)]
     graphs += [make(n) for n in range(3, 13) for make in (path_graph, cycle_graph)]
+    graphs += [tadpole_graph(m, t) for m in (3, 5, 8) for t in (1, 4, 7)]
+    graphs += [cycle_chord_graph(a, b) for a, b in [(2, 3), (4, 4), (6, 3), (9, 7)]]
+    graphs += [multipath_graph(lengths) for lengths in [(2, 3, 4, 1), (3, 3, 5, 5), (6, 4, 3, 2)]]
+    graphs += [_ladder(rungs) for rungs in (3, 5, 8)]
+    graphs.append(Graph(7, ((0, 2), (0, 4), (0, 5), (1, 3), (1, 6), (2, 3), (2, 6),
+                            (3, 4), (3, 5), (3, 6), (4, 5), (5, 6))))
+    graphs.sort(key=lambda g: g.n)
+    expected = {g: csf_by_edge_transfer(g) for g in graphs}
+    place, slots = engine._place, set()
+
+    def placed(size, slot, base, w):
+        slots.add(slot)
+        return place(size, slot, base, w)
+
+    monkeypatch.setattr(engine, "_place", placed)
     for g in [*graphs, *reversed(graphs)]:
-        assert csf_oracle(g) == csf_by_edge_transfer(g), g
-    assert engine._CLOSING
+        assert csf_oracle(g) == expected[g], g
+    assert {2, None} <= slots
+    assert sorted(engine._KEPT_CUTS) == [2, 3, 4, 5]
+    shapes = [shape for _, _, store in engine._KEPT_CUTS.values() for shape in store]
+    assert any(nm is not None for *_, nm in shapes)
     for graph, budget, left in [
         (tadpole_graph(7, 5), 76, "chain 2 of 2 left 77"),
         (Graph(7, ((0, 1), (0, 4), (0, 6), (2, 6), (3, 5), (3, 6), (4, 5))), 5,
@@ -532,23 +563,41 @@ def test_transfer_and_conversion_share_one_arrangement_table(monkeypatch):
 
 def test_kept_closing_cut_terms_stay_within_the_conversion_budget(monkeypatch):
     # the kept cut terms share p_to_e's budget, one count per width: under
-    # a budget of 40 the scan to 9 vertices clears them on the way, and
-    # its rows stay the reference rows
+    # a budget of 40 the scan to 9 vertices clears the store on the way,
+    # and its rows stay the reference rows; a tadpole's open loop step
+    # then builds 45 terms, which are used but never kept
     monkeypatch.setattr(symfunc, "_P_TO_E_MAX_TERMS", 40)
     monkeypatch.setattr(symfunc, "_TABLES", {})
-    monkeypatch.setattr(engine, "_CLOSING", {})
+    monkeypatch.setattr(engine, "_KEPT_CUTS", {})
+    cut_terms, built = engine._cut_terms, []
+
+    def held() -> dict[int, int]:
+        now = {w: sum(len(offs) for builds in store.values() for _, offs, _ in builds.values())
+               for w, (_, _, store) in engine._KEPT_CUTS.items()}
+        assert now == {w: entry[1] for w, entry in engine._KEPT_CUTS.items()}
+        assert all(terms <= 40 for terms in now.values())
+        return now
+
+    def counted(*args):
+        held()  # between any two builds, not only between calls
+        terms = cut_terms(*args)
+        built.append(sum(1 for f in terms.values() if f))
+        return terms
+
+    monkeypatch.setattr(engine, "_cut_terms", counted)
     with open(REFERENCE_ROWS, encoding="utf-8") as fh:
         expected = fh.read().splitlines()
-    held: list[dict[int, int]] = []
+    seen: list[dict[int, int]] = []
     rows = []
     for row in scan_theta(9):
         rows.append(row.to_json())
-        held.append({w: sum(len(offs) for builds in kept.values() for _, offs, _ in builds.values())
-                     for w, (_, _, kept) in engine._CLOSING.items()})
-        assert held[-1] == {w: entry[1] for w, entry in engine._CLOSING.items()}
-        assert all(terms <= 40 for terms in held[-1].values())
+        seen.append(held())
     assert rows == expected[:len(rows)]
-    assert any(now.get(w, 0) < held[i].get(w, 0) for i, now in enumerate(held[1:]) for w in now)
+    assert max(built) <= 40
+    assert any(now.get(w, 0) < seen[i].get(w, 0) for i, now in enumerate(seen[1:]) for w in now)
+    assert csf_oracle(tadpole_graph(8, 1)) == csf_tadpole(8, 1)
+    assert max(built) == 45
+    held()
 
 
 def test_multipath_transfer_rejects_what_the_builder_rejects():

@@ -217,6 +217,36 @@ def test_unpack_reads_a_full_top_digit(lam, w):
     assert _unpack(_pack(lam, w), w) == lam
 
 
+# any int is a key at any width: each w-bit digit is a multiplicity
+packed_calls = st.lists(
+    st.tuples(st.integers(3, 7),
+              st.dictionaries(st.integers(0, 1 << 21), st.integers(-2, 2), max_size=12)),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example([(3, {9: 1, 0: 2}), (4, {9: 1, 0: 0}), (3, {9: -1})])
+@given(packed_calls)
+def test_unpacked_with_a_warm_memo_decodes_each_key_as_unpack(calls):
+    # the memo outlives calls and examples, so most reads here are warm,
+    # and one key read at two widths names two partitions
+    for w, terms in calls:
+        expected = [(_unpack(key, w), c) for key, c in terms.items() if c]
+        assert list(_unpacked(terms, w).items()) == expected
+
+
+def test_unpacked_memo_holds_one_width_within_the_budget(monkeypatch):
+    monkeypatch.setattr(symfunc, "_P_TO_E_MAX_TERMS", 10)
+    monkeypatch.setattr(symfunc, "_DECODED", {})
+    rng = random.Random(7)
+    for w in (5, 5, 6, 3, 3):
+        terms = {rng.randrange(1 << 3 * w): rng.choice((-1, 0, 1, 2)) for _ in range(25)}
+        assert _unpacked(terms, w) == {_unpack(key, w): c for key, c in terms.items() if c}
+        assert list(symfunc._DECODED) == [w]
+        assert 0 < len(symfunc._DECODED[w]) <= 10
+
+
 @settings(max_examples=150, deadline=None)
 @example({(1, 1): 1}, {(1, 1): 1}, 1)
 @given(term_dicts, term_dicts, st.integers(-3, 3))
