@@ -69,6 +69,11 @@ from .symfunc import (
 # host; a refused 52-edge G(15, 1/2) stopped after 17 s at 462 MB.
 _ORACLE_MAX_STATES = 500_000
 
+# Vertices of one oracle graph, refused before _graph_chains keeps its
+# lists per vertex.  csf edges:1000000; takes 1.6-1.9 s and 207 MB on a
+# 2-CPU host; edges:3000000; took 4.3 s and 589 MB.
+_ORACLE_MAX_VERTICES = 1_000_000
+
 # The formulas visit all 2**(n-1) compositions of n; at n = 26 that is
 # 2**25 of them, 6 to 7 s per family on a 2-CPU host.
 _FORMULA_MAX_VERTICES = 26
@@ -306,9 +311,13 @@ def csf_oracle(graph: Graph) -> SymFunc:
     The work follows the live terms, so the call refuses once a step
     has made more than _ORACLE_MAX_STATES of them, counted as they are
     made; before any step, the table refuses a chain whose free middles
-    would need an A_r past p_to_e's budget.
+    would need an A_r past p_to_e's budget, and before the chains are
+    found, a graph of more than _ORACLE_MAX_VERTICES vertices is refused.
     """
     n = graph.n
+    if n > _ORACLE_MAX_VERTICES:
+        raise ResourceLimitError.capped("oracle", _ORACLE_MAX_VERTICES, "vertices",
+                                        f"graph has {n}")
     chains = _graph_chains(graph)
     w = _width(n)
     digit = (1 << w) - 1
@@ -539,10 +548,12 @@ class ThetaScanRow(NamedTuple):
     @classmethod
     def from_json(cls, line: str) -> "ThetaScanRow":
         """Parse one checkpoint row, refusing any that no scan could
-        have written: a field of the wrong type, a vertex count or shape
-        size that does not fit the cell, or a verdict that contradicts
-        the minimal coefficient (zero coefficients are dropped, so a
-        computed row is e-positive exactly when it is positive)."""
+        have written: a field of the wrong type, a cell that
+        theta_scan_cells does not list, a vertex count or shape size that
+        does not fit the cell, a shape that is not a partition, or a
+        verdict that contradicts the minimal coefficient (zero
+        coefficients are dropped, so a computed row is e-positive exactly
+        when it is positive)."""
         data = json.loads(line)
         if data.get("schema") != SCAN_SCHEMA:
             raise ValueError(f"unsupported scan row schema: {data.get('schema')!r}")
@@ -554,10 +565,14 @@ class ThetaScanRow(NamedTuple):
             raise ValueError("scan row counts and shape parts must be integers")
         if type(e_positive) is not bool:
             raise ValueError(f"e_positive must be true or false, got {e_positive!r}")
+        if not a >= b >= c >= 1 or b == c == 1:
+            raise ValueError(f"theta {a},{b},{c} is not a scan cell: a >= b >= c >= 1, b + c > 2")
         if n != a + b + c - 1:
             raise ValueError(f"n = {n} does not fit theta {a},{b},{c}")
         if sum(shape) != n:
             raise ValueError(f"min_coeff_shape sums to {sum(shape)}, not n = {n}")
+        if shape != sorted(shape, reverse=True) or shape[-1] < 1:
+            raise ValueError(f"min_coeff_shape {shape} is not a partition")
         if e_positive != (min_coeff > 0):
             raise ValueError(f"e_positive {e_positive} contradicts min_coeff {min_coeff}")
         return cls(a, b, c, n, e_positive, min_coeff, tuple(shape))

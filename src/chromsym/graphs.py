@@ -83,7 +83,7 @@ class Graph(_GraphFields):
 
 # ---------------------------------------------------------- constructors
 
-# Each family's parameter rules, run by its builder and by GraphSpec
+# Each family's parameter rules, run by GraphSpec
 def _check_path(n: int) -> None:
     if n < 1:
         raise ValueError(f"path needs at least one vertex, got {n}")
@@ -119,67 +119,23 @@ def _check_lengths(*lam: int) -> None:
         )
 
 
-def path_graph(n: int) -> Graph:
-    """Path on n vertices, edges i -- i+1."""
-    _check_path(n)
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+# A chain (start, end, edges), an end of None being a fresh vertex
+Chain = tuple[int, int | None, int]
+Skeleton = tuple[int, list[Chain]]
 
 
-def cycle_graph(n: int) -> Graph:
-    """Cycle on n vertices; a simple cycle needs n >= 3."""
-    _check_cycle(n)
-    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
-
-
-def tadpole_graph(m: int, tail: int) -> Graph:
-    """Cycle on m vertices with a path of tail extra vertices hung off
-    cycle vertex 0.  tail = 0 gives the plain cycle."""
-    _check_tadpole(m, tail)
-    edges = [(i, (i + 1) % m) for i in range(m)]
-    prev = 0
-    for v in range(m, m + tail):
-        edges.append((prev, v))
-        prev = v
-    return Graph(m + tail, tuple(edges))
-
-
-def cycle_chord_graph(a: int, b: int) -> Graph:
-    """Cycle on a + b vertices with a chord joining vertices 0 and a,
-    splitting the cycle into arcs of a and b edges.
-
-    When a or b is 1 the chord coincides with a cycle edge and is
-    dropped, leaving the plain cycle.
-    """
-    _check_chord(a, b)
-    n = a + b
-    edges = {_normalize_edge((i, (i + 1) % n)) for i in range(n)}
-    edges.add(_normalize_edge((0, a)))
-    return Graph(n, tuple(edges))
-
-
-def multipath_graph(path_lengths: Iterable[int]) -> Graph:
-    """Two hub vertices 0 and 1 joined by internally disjoint paths,
-    one of each given edge length.
-
-    A second length-1 path would duplicate the hub edge, so at most one
-    part may equal 1.  The vertex count is (sum of lengths) - (number
-    of paths) + 2.
-    """
-    lam = tuple(sorted(path_lengths, reverse=True))
-    _check_lengths(*lam)
-    edges = []
-    nxt = 2
-    for length in lam:
-        chain = [0] + list(range(nxt, nxt + length - 1)) + [1]
+def _skeleton_graph(hubs: int, chains: Iterable[Chain]) -> Graph:
+    """Hub vertices 0..hubs-1 joined by chains of the given edge counts.
+    Each chain's interior vertices, and then its end when that is None,
+    take the next free labels in turn."""
+    edges, nxt = [], hubs
+    for start, end, length in chains:
+        walk = [start, *range(nxt, nxt + length - 1)]
         nxt += length - 1
-        edges.extend(zip(chain, chain[1:]))
-    return Graph(nxt, tuple(edges))
-
-
-def theta_graph(a: int, b: int, c: int) -> Graph:
-    """Two vertices joined by three internally disjoint paths of a, b,
-    and c edges."""
-    return multipath_graph((a, b, c))
+        if end is None:
+            end, nxt = nxt, nxt + 1
+        edges += zip(walk, [*walk[1:], end])
+    return Graph(nxt, edges)
 
 
 # -------------------------------------------------------------- GraphSpec
@@ -237,10 +193,11 @@ class GraphSpec(_GraphSpecFields):
 class FamilyRow(NamedTuple):
     """Everything the package knows about one family keyword.
 
-    arity is None when variadic.  check raises the builder's ValueError
-    for params it rejects, and GraphSpec runs it on construction, so
-    size can give the vertex and edge counts of the graph a spec builds
-    without building it.  formula gives the name of the engine's
+    arity is None when variadic.  skeleton gives the hub count and the
+    chains of the graph a spec builds, which build_graph joins and size
+    counts without building it.  check raises the ValueError for params
+    the family rejects, and GraphSpec runs it on construction, so every
+    spec has a skeleton.  formula gives the name of the engine's
     closed-form evaluator covering the params and its arguments, or
     None when only the oracle can answer.  e_positive says whether
     e-positivity is established, making a negative coefficient a hard
@@ -249,13 +206,18 @@ class FamilyRow(NamedTuple):
     """
 
     arity: int | None
-    build: Callable[[GraphSpec], Graph]
+    skeleton: Callable[[GraphSpec], Skeleton]
     check: Callable[..., None]
-    size: Callable[[GraphSpec], tuple[int, int]]
     formula: Callable[[Params], tuple[str, Params] | None]
     e_positive: Callable[[Params], bool]
     path_lengths: bool = False
     explicit_edges: bool = False
+
+    def size(self, spec: GraphSpec) -> tuple[int, int]:
+        # the hubs, each chain's interior vertices and fresh end, and its edges
+        hubs, chains = self.skeleton(spec)
+        return (hubs + sum(edges - 1 + (end is None) for _, end, edges in chains),
+                sum(edges for _, _, edges in chains))
 
 
 def _proved(params: Params) -> bool:
@@ -287,47 +249,83 @@ def _multipath_positive(lengths: Params) -> bool:
     return len(lengths) <= 2 or (len(lengths) == 3 and lengths[2] <= 2)
 
 
-def _spread(constructor: Callable[..., Graph]) -> Callable[[GraphSpec], Graph]:
-    return lambda spec: constructor(*spec.params)
+def _tail(edges: int) -> list[Chain]:
+    # a path off vertex 0 to a fresh end, or no chain when it has no edge
+    return [(0, None, edges)] if edges else []
 
 
-def _chord_size(spec: GraphSpec) -> tuple[int, int]:
+def _chord_skeleton(spec: GraphSpec) -> Skeleton:
     # a unit arc's chord is a cycle edge and is dropped
-    n = sum(spec.params)
-    return n, n + (min(spec.params) > 1)
+    a, b = spec.params
+    return 1, [(0, None, a), (a, 0, b)] + ([(0, a, 1)] if min(a, b) > 1 else [])
 
 
-def _multipath_size(spec: GraphSpec) -> tuple[int, int]:
-    lengths = spec.params
-    return sum(lengths) - len(lengths) + 2, sum(lengths)
-
-
-_MULTIPATH = FamilyRow(None, lambda spec: multipath_graph(spec.params), _check_lengths,
-                       _multipath_size, _multipath_formula, _multipath_positive,
+_MULTIPATH = FamilyRow(None, lambda spec: (2, [(0, 1, length) for length in spec.params]),
+                       _check_lengths, _multipath_formula, _multipath_positive,
                        path_lengths=True)
 
 FAMILIES: dict[Family, FamilyRow] = {
-    Family.PATH: FamilyRow(1, _spread(path_graph), _check_path,
-                           lambda spec: (spec.params[0], spec.params[0] - 1),
+    Family.PATH: FamilyRow(1, lambda spec: (1, _tail(spec.params[0] - 1)), _check_path,
                            lambda p: ("csf_path", p), _proved),
-    Family.CYCLE: FamilyRow(1, _spread(cycle_graph), _check_cycle,
-                            lambda spec: (spec.params[0], spec.params[0]),
+    Family.CYCLE: FamilyRow(1, lambda spec: (1, [(0, 0, spec.params[0])]), _check_cycle,
                             lambda p: ("csf_cycle", p), _proved),
-    Family.TADPOLE: FamilyRow(2, _spread(tadpole_graph), _check_tadpole,
-                              lambda spec: (sum(spec.params), sum(spec.params)),
-                              lambda p: ("csf_tadpole", p), _proved),
-    Family.CYCLE_CHORD: FamilyRow(2, _spread(cycle_chord_graph), _check_chord, _chord_size,
-                                  _chord_formula, _proved),
+    Family.TADPOLE: FamilyRow(
+        2, lambda spec: (1, [(0, 0, spec.params[0]), *_tail(spec.params[1])]),
+        _check_tadpole, lambda p: ("csf_tadpole", p), _proved),
+    Family.CYCLE_CHORD: FamilyRow(2, _chord_skeleton, _check_chord, _chord_formula, _proved),
     Family.THETA: _MULTIPATH._replace(arity=3),
     Family.MULTIPATH: _MULTIPATH,
-    Family.EDGES: FamilyRow(1, lambda spec: Graph(spec.params[0], spec.edge_list),
-                            lambda n: None, lambda spec: (spec.params[0], len(spec.edge_list)),
-                            lambda p: None, lambda p: False, explicit_edges=True),
+    Family.EDGES: FamilyRow(1, lambda spec: (spec.params[0], [(*e, 1) for e in spec.edge_list]),
+                            lambda n: None, lambda p: None, lambda p: False,
+                            explicit_edges=True),
 }
 
 
 def build_graph(spec: GraphSpec) -> Graph:
-    return FAMILIES[spec.family].build(spec)
+    return _skeleton_graph(*FAMILIES[spec.family].skeleton(spec))
+
+
+def path_graph(n: int) -> Graph:
+    """Path on n vertices, edges i -- i+1."""
+    return build_graph(GraphSpec(Family.PATH, (n,)))
+
+
+def cycle_graph(n: int) -> Graph:
+    """Cycle on n vertices; a simple cycle needs n >= 3."""
+    return build_graph(GraphSpec(Family.CYCLE, (n,)))
+
+
+def tadpole_graph(m: int, tail: int) -> Graph:
+    """Cycle on m vertices with a path of tail extra vertices hung off
+    cycle vertex 0.  tail = 0 gives the plain cycle."""
+    return build_graph(GraphSpec(Family.TADPOLE, (m, tail)))
+
+
+def cycle_chord_graph(a: int, b: int) -> Graph:
+    """Cycle on a + b vertices with a chord joining vertices 0 and a,
+    splitting the cycle into arcs of a and b edges.
+
+    When a or b is 1 the chord coincides with a cycle edge and is
+    dropped, leaving the plain cycle.
+    """
+    return build_graph(GraphSpec(Family.CYCLE_CHORD, (a, b)))
+
+
+def multipath_graph(path_lengths: Iterable[int]) -> Graph:
+    """Two hub vertices 0 and 1 joined by internally disjoint paths,
+    one of each given edge length.
+
+    A second length-1 path would duplicate the hub edge, so at most one
+    part may equal 1.  The vertex count is (sum of lengths) - (number
+    of paths) + 2.
+    """
+    return build_graph(GraphSpec(Family.MULTIPATH, tuple(path_lengths)))
+
+
+def theta_graph(a: int, b: int, c: int) -> Graph:
+    """Two vertices joined by three internally disjoint paths of a, b,
+    and c edges."""
+    return build_graph(GraphSpec(Family.THETA, (a, b, c)))
 
 
 def render_graph_spec(spec: GraphSpec) -> str:

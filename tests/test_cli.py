@@ -801,6 +801,28 @@ def test_size_bounds_come_before_the_build(command, spec, message, monkeypatch, 
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["csf", "verify"])
+def test_the_oracle_refuses_a_graph_past_its_vertex_bound(command, monkeypatch, capsys):
+    # refused before the chains are found, which keep lists per vertex
+    chains = engine._graph_chains
+
+    def refuse(graph):
+        raise AssertionError("the chains were found")
+
+    monkeypatch.setattr(engine, "_graph_chains", refuse)
+    assert main([command, "edges:1000001;"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: oracle capped at 1000000 vertices, graph has 1000001\n"
+    # a graph at the bound is taken
+    monkeypatch.setattr(engine, "_graph_chains", chains)
+    monkeypatch.setattr(engine, "_ORACLE_MAX_VERTICES", 5)
+    assert main([command, "edges:5;0-1"]) == 0
+    capsys.readouterr()
+    assert main([command, "edges:6;0-1"]) == 1
+    assert capsys.readouterr().err == "error: oracle capped at 5 vertices, graph has 6\n"
+
+
 def test_size_bounds_come_after_the_parameter_rules(capsys):
     # a spec the builder rejects stays bad input, even past a size bound
     assert main(["nice", "cycle:2"]) == 2

@@ -749,13 +749,26 @@ def test_scan_row_json_round_trip():
     ("e_positive", False),
     ("min_coeff", -7),
     ("min_coeff", 0),
+    ("min_coeff_shape", [0, 8]),
+    ("min_coeff_shape", [1, 7]),
+    ("min_coeff_shape", [9, -1]),
+    ("min_coeff_shape", [4, 0, 4]),
 ])
 def test_scan_row_rejects_what_no_scan_writes(field, value):
     # wrong types, a vertex count or shape that does not fit the cell,
-    # and a verdict that contradicts the minimal coefficient
+    # a shape that is not a partition, and a verdict that contradicts
+    # the minimal coefficient
     data = json.loads(ThetaScanRow(4, 3, 2, 8, True, 7, (4, 3, 1)).to_json())
     with pytest.raises(ValueError):
         ThetaScanRow.from_json(json.dumps({**data, field: value}))
+
+
+@pytest.mark.parametrize("cell", [(3, 4, 2), (4, 2, 3), (2, 3, 4), (7, 1, 1), (5, 4, 0)])
+def test_scan_row_rejects_a_cell_no_scan_lists(cell):
+    # each sums to 9, so n = 8 and the shape fit; only the cell is wrong
+    row = ThetaScanRow(*cell, 8, True, 7, (4, 3, 1))
+    with pytest.raises(ValueError, match="is not a scan cell"):
+        ThetaScanRow.from_json(row.to_json())
 
 
 def test_scan_checkpoint_resume(tmp_path):

@@ -5,6 +5,7 @@ oracle exactly, a family whose e-positivity is established yields
 an e-positive oracle, and every family but edges hands p_to_e a p_n
 term on its n vertices."""
 
+import hashlib
 import itertools
 import random
 
@@ -165,6 +166,49 @@ def _specs_up_to(n_max):
             if row.size(spec)[0] <= n_max:
                 specs.add(spec)
     return sorted(specs, key=render_graph_spec)
+
+
+def _labelled_specs(n_max):
+    """Every path, cycle, tadpole, cc and theta spec, and every glambda
+    spec of up to 4 paths, with at most n_max vertices, counted from the
+    params alone."""
+    def lengths(count):
+        # weakly decreasing, with at most one path of length 1
+        for lam in itertools.combinations_with_replacement(range(n_max, 0, -1), count):
+            if lam.count(1) <= 1 and sum(lam) - count + 2 <= n_max:
+                yield lam
+
+    for n in range(1, n_max + 1):
+        yield GraphSpec(Family.PATH, (n,))
+    for n in range(3, n_max + 1):
+        yield GraphSpec(Family.CYCLE, (n,))
+    for m in range(3, n_max + 1):
+        for tail in range(n_max - m + 1):
+            yield GraphSpec(Family.TADPOLE, (m, tail))
+    for a in range(1, n_max):
+        for b in range(max(1, 3 - a), n_max - a + 1):
+            yield GraphSpec(Family.CYCLE_CHORD, (a, b))
+    for lam in lengths(3):
+        yield GraphSpec(Family.THETA, lam)
+    for count in range(1, 5):
+        for lam in lengths(count):
+            yield GraphSpec(Family.MULTIPATH, lam)
+
+
+# SHA-256 of one "spec n edges" line per spec of _labelled_specs(14), in
+# its order: it pins every vertex label of those 539 graphs
+LABELS_SHA256 = "e6b2e29fb365c0d048d8da0dc8523b64f2678ccdbc30d3a13a847b9739bce1be"
+
+
+def test_every_small_family_graph_keeps_its_labels():
+    digest = hashlib.sha256()
+    specs = list(_labelled_specs(14))
+    for spec in specs:
+        graph = build_graph(spec)
+        digest.update(f"{render_graph_spec(spec)} {graph.n} {graph.edges}\n".encode())
+        assert FAMILIES[spec.family].size(spec) == (graph.n, graph.m), spec
+    assert len(specs) == 539
+    assert digest.hexdigest() == LABELS_SHA256
 
 
 def _converted(monkeypatch):
