@@ -74,6 +74,11 @@ _ORACLE_MAX_STATES = 500_000
 # 2-CPU host; edges:3000000; took 4.3 s and 589 MB.
 _ORACLE_MAX_VERTICES = 1_000_000
 
+# Vertices of one graph whose oracle verify checks against the coloring
+# count at k = 0..n, work that grows about as n**3: verify edges:1000;
+# takes 0.63-0.68 s on a 2-CPU host, edges:2000; 4.7 s.
+_COLORING_MAX_VERTICES = 1_000
+
 # The formulas visit all 2**(n-1) compositions of n; at n = 26 that is
 # 2**25 of them, 6 to 7 s per family on a 2-CPU host.
 _FORMULA_MAX_VERTICES = 26
@@ -485,7 +490,8 @@ def verify(spec: GraphSpec) -> VerificationReport:
     does a spec whose function p_to_e would refuse or whose edges the
     coloring memo could not hold; then always runs the edge-subset
     oracle, and checks the principal specialization against the
-    independent coloring count at k = 0..n.
+    independent coloring count at k = 0..n, refusing that check on a
+    graph of more than _COLORING_MAX_VERTICES vertices.
     """
     timings: dict[str, float] = {}
 
@@ -502,6 +508,9 @@ def verify(spec: GraphSpec) -> VerificationReport:
     equal = None if formula is None else formula == oracle
     timings["oracle"] = time.perf_counter() - start
 
+    if graph.n > _COLORING_MAX_VERTICES:
+        raise ResourceLimitError.capped("coloring check", _COLORING_MAX_VERTICES, "vertices",
+                                        f"graph has {graph.n}")
     start = time.perf_counter()
     colorings_match = all(
         principal_specialization(oracle, k) == count_proper_colorings(graph, k)

@@ -192,29 +192,9 @@ def _packed(terms: Mapping[Partition, int], w: int) -> dict[int, int]:
     return {_pack(lam, w): c for lam, c in terms.items()}
 
 
-# Partitions of packed keys already decoded, {w: {key: partition}} for
-# the last width _unpacked read.
-_DECODED: dict[int, dict[int, Partition]] = {}
-
-
 def _unpacked(terms: Mapping[int, int], w: int) -> dict[Partition, int]:
-    """Nonzero terms keyed by partitions, each key decoded once per
-    width: _DECODED holds one width's decodings at a time, and is
-    cleared before it would pass _P_TO_E_MAX_TERMS entries."""
-    memo = _DECODED.get(w)
-    if memo is None:
-        _DECODED.clear()
-        memo = _DECODED[w] = {}
-    out: dict[Partition, int] = {}
-    for key, c in terms.items():
-        if c:
-            lam = memo.get(key)
-            if lam is None:
-                if len(memo) >= _P_TO_E_MAX_TERMS:
-                    memo.clear()
-                lam = memo[key] = _unpack(key, w)
-            out[lam] = c
-    return out
+    """Nonzero terms keyed by partitions."""
+    return {_unpack(key, w): c for key, c in terms.items() if c}
 
 
 def _multiply_into(out: dict[int, int], f: Mapping[int, int], g: Mapping[int, int]) -> None:

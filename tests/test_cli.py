@@ -823,6 +823,25 @@ def test_the_oracle_refuses_a_graph_past_its_vertex_bound(command, monkeypatch, 
     assert capsys.readouterr().err == "error: oracle capped at 5 vertices, graph has 6\n"
 
 
+def test_verify_refuses_the_coloring_check_past_its_vertex_bound(monkeypatch, capsys):
+    # the bound sits after the oracle, so edges:1000001; keeps the
+    # oracle's message, and before the first coloring count
+    counts = engine.count_proper_colorings
+
+    def refuse(graph, k):
+        raise AssertionError("the colorings were counted")
+
+    monkeypatch.setattr(engine, "count_proper_colorings", refuse)
+    assert main(["verify", "edges:1001;"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coloring check capped at 1000 vertices, graph has 1001\n"
+    # a graph at the bound is checked
+    monkeypatch.setattr(engine, "count_proper_colorings", counts)
+    assert main(["verify", "edges:1000;"]) == 0
+    assert "colorings: agree for k = 0..1000\n" in capsys.readouterr().out
+
+
 def test_size_bounds_come_after_the_parameter_rules(capsys):
     # a spec the builder rejects stays bad input, even past a size bound
     assert main(["nice", "cycle:2"]) == 2

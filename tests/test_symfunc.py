@@ -228,23 +228,40 @@ packed_calls = st.lists(
 @settings(max_examples=150, deadline=None)
 @example([(3, {9: 1, 0: 2}), (4, {9: 1, 0: 0}), (3, {9: -1})])
 @given(packed_calls)
-def test_unpacked_with_a_warm_memo_decodes_each_key_as_unpack(calls):
-    # the memo outlives calls and examples, so most reads here are warm,
-    # and one key read at two widths names two partitions
+def test_unpacked_decodes_each_nonzero_key_as_unpack(calls):
+    # one key read at two widths names two partitions
     for w, terms in calls:
         expected = [(_unpack(key, w), c) for key, c in terms.items() if c]
         assert list(_unpacked(terms, w).items()) == expected
 
 
-def test_unpacked_memo_holds_one_width_within_the_budget(monkeypatch):
-    monkeypatch.setattr(symfunc, "_P_TO_E_MAX_TERMS", 10)
-    monkeypatch.setattr(symfunc, "_DECODED", {})
-    rng = random.Random(7)
-    for w in (5, 5, 6, 3, 3):
-        terms = {rng.randrange(1 << 3 * w): rng.choice((-1, 0, 1, 2)) for _ in range(25)}
-        assert _unpacked(terms, w) == {_unpack(key, w): c for key, c in terms.items() if c}
-        assert list(symfunc._DECODED) == [w]
-        assert 0 < len(symfunc._DECODED[w]) <= 10
+def test_conversion_keeps_no_state_across_calls():
+    def container_sizes():
+        # nested containers count too, so a memo kept per width shows
+        def size(value):
+            if isinstance(value, dict):
+                return len(value) + sum(map(size, value.values()))
+            if isinstance(value, (list, set)):
+                return len(value) + sum(map(size, value))
+            return 0
+        return {name: size(value) for name, value in vars(symfunc).items()
+                if not name.startswith("__") and name != "_TABLES"
+                and isinstance(value, (dict, list, set))}
+
+    rng = random.Random(11)
+    functions = {n: SymFunc(P, {lam: rng.randrange(-9, 10) or 1 for lam in partitions(n)})
+                 for n in (7, 12)}
+    for n in functions:
+        _image_table(_width(n), n)
+    before = container_sizes()
+    # p_to_e at widths 3 and 4, then products decoded at widths 4 and 5
+    images = {}
+    for n, f in functions.items():
+        images[n] = p_to_e(f)
+        assert container_sizes() == before, n
+    for n, e in images.items():
+        e * e
+        assert container_sizes() == before, 2 * n
 
 
 @settings(max_examples=150, deadline=None)
