@@ -265,26 +265,9 @@ def check_conversion_table(spec: GraphSpec) -> None:
     with no broken circuit, Stanley 1995), so the product over a graph's
     components has a term whose largest part is its largest component,
     and p_to_e grows the table to that A_s at width _width(n) anyway;
-    this grows it first.  Every family but edges builds a connected
-    graph; an edges spec's components are walked from its edge list,
-    a vertex on no edge being one of size 1."""
-    row = FAMILIES[spec.family]
-    n = top = row.size(spec)[0]
-    if row.explicit_edges:
-        links: dict[int, list[int]] = {}
-        for u, v in spec.edge_list:
-            links.setdefault(u, []).append(v)
-            links.setdefault(v, []).append(u)
-        top = 1
-        while links:
-            stack, size = links.popitem()[1], 1
-            while stack:
-                around = links.pop(stack.pop(), None)
-                if around is not None:
-                    size += 1
-                    stack += around
-            top = max(top, size)
-    _arrangement_table(_width(n), top)
+    this grows it first, from the family row's size."""
+    n, _, largest = FAMILIES[spec.family].size(spec)
+    _arrangement_table(_width(n), largest)
 
 
 def csf_oracle(graph: Graph) -> SymFunc:

@@ -213,11 +213,30 @@ class FamilyRow(NamedTuple):
     path_lengths: bool = False
     explicit_edges: bool = False
 
-    def size(self, spec: GraphSpec) -> tuple[int, int]:
-        # the hubs, each chain's interior vertices and fresh end, and its edges
+    def size(self, spec: GraphSpec) -> tuple[int, int, int]:
+        """The vertex count, edge count and largest component of the
+        graph the spec builds, without building it.  Every other
+        skeleton's chains start at a hub or on an earlier chain and join
+        the hubs, so only an explicit edge list is walked for its
+        components, a vertex on no edge being one of size 1."""
         hubs, chains = self.skeleton(spec)
-        return (hubs + sum(edges - 1 + (end is None) for _, end, edges in chains),
-                sum(edges for _, _, edges in chains))
+        n = hubs + sum(edges - 1 + (end is None) for _, end, edges in chains)
+        largest = n
+        if self.explicit_edges:
+            links: dict[int, list[int]] = {}
+            for u, v in spec.edge_list:
+                links.setdefault(u, []).append(v)
+                links.setdefault(v, []).append(u)
+            largest = 1
+            while links:
+                stack, size = links.popitem()[1], 1
+                while stack:
+                    around = links.pop(stack.pop(), None)
+                    if around is not None:
+                        size += 1
+                        stack += around
+                largest = max(largest, size)
+        return n, sum(edges for _, _, edges in chains), largest
 
 
 def _proved(params: Params) -> bool:
@@ -487,12 +506,28 @@ def stable_partition_types(graph: Graph) -> set[Partition]:
     """All partition shapes realized by partitions of the vertex set
     into independent blocks.
 
-    Exponential in n; refuses graphs above _STABLE_MAX_VERTICES vertices.
+    One search, memoized for the call, answers every shape: a key of
+    uncovered vertices and block sizes left has one answer, whichever
+    shape reached it.  Exponential in n; refuses graphs above
+    _STABLE_MAX_VERTICES vertices.
     """
     n = graph.n
     check_stable_vertices(n)
     adj = graph.adjacency_masks()
-    return {lam for lam in partitions(n) if _has_stable_partition(n, adj, lam)}
+    memo: dict[tuple[int, Partition], bool] = {}
+
+    def solve(uncovered: int, sizes: Partition) -> bool:
+        if not uncovered:
+            return True
+        key = (uncovered, sizes)
+        if key not in memo:
+            anchor = (uncovered & -uncovered).bit_length() - 1
+            memo[key] = any(solve(uncovered & ~block, sizes[:i] + sizes[i + 1:])
+                            for i, s in enumerate(sizes) if not (i and sizes[i - 1] == s)
+                            for block in _independent_blocks(adj, anchor, uncovered, s))
+        return memo[key]
+
+    return {lam for lam in partitions(n) if solve((1 << n) - 1, lam)}
 
 
 def _independent_blocks(adj, anchor: int, pool: int, size: int):
@@ -514,35 +549,6 @@ def _independent_blocks(adj, anchor: int, pool: int, size: int):
             yield from extend(block | low, cand & ~adj[w], left - 1)
 
     yield from extend(1 << anchor, start, size - 1)
-
-
-def _has_stable_partition(n: int, adj, shape: Partition) -> bool:
-    full = (1 << n) - 1
-    memo: dict[tuple[int, Partition], bool] = {}
-
-    def solve(uncovered: int, sizes: Partition) -> bool:
-        if not uncovered:
-            return True
-        key = (uncovered, sizes)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        anchor = (uncovered & -uncovered).bit_length() - 1
-        ok = False
-        for i, s in enumerate(sizes):
-            if i and sizes[i - 1] == s:
-                continue
-            rest = sizes[:i] + sizes[i + 1:]
-            for block in _independent_blocks(adj, anchor, uncovered, s):
-                if solve(uncovered & ~block, rest):
-                    ok = True
-                    break
-            if ok:
-                break
-        memo[key] = ok
-        return ok
-
-    return solve(full, shape)
 
 
 def is_nice(graph: Graph) -> tuple[bool, tuple[Partition, Partition] | None]:

@@ -126,7 +126,8 @@ def test_spec_round_trips_through_text(spec):
 @given(specs)
 def test_size_counts_the_built_graph(spec):
     graph = build_graph(spec)
-    assert FAMILIES[spec.family].size(spec) == (graph.n, graph.m)
+    largest = component_partition(graph, graph.edges)[0]
+    assert FAMILIES[spec.family].size(spec) == (graph.n, graph.m, largest)
 
 
 @settings(max_examples=150, deadline=None)
@@ -206,7 +207,8 @@ def test_every_small_family_graph_keeps_its_labels():
     for spec in specs:
         graph = build_graph(spec)
         digest.update(f"{render_graph_spec(spec)} {graph.n} {graph.edges}\n".encode())
-        assert FAMILIES[spec.family].size(spec) == (graph.n, graph.m), spec
+        largest = component_partition(graph, graph.edges)[0]
+        assert FAMILIES[spec.family].size(spec) == (graph.n, graph.m, largest), spec
     assert len(specs) == 539
     assert digest.hexdigest() == LABELS_SHA256
 
@@ -224,8 +226,9 @@ def _converted(monkeypatch):
 
 
 def test_every_family_but_edges_converts_a_p_n_term(monkeypatch):
-    # the premise of engine.check_conversion_table: each of these specs
-    # builds a connected graph, whose expansion on n vertices has a p_n
+    # the premise of FamilyRow.size, which gives n as the largest
+    # component of each of these specs to engine.check_conversion_table:
+    # each builds a connected graph, whose expansion on n vertices has a p_n
     # term with coefficient (-1)**(n - 1) times its number of spanning
     # trees with no broken circuit, so p_to_e grows the table to A_n
     seen = _converted(monkeypatch)

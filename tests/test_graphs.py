@@ -338,17 +338,19 @@ def test_interleaved_colorings_match_brute_force():
                 assert count_proper_colorings(g, k) == brute_color_count(g, k), g
 
 
-def test_chromatic_polynomial_keeps_no_memo_across_calls():
-    def container_sizes():
-        return {name: len(value) for name, value in vars(graphs).items()
-                if not name.startswith("__") and isinstance(value, (dict, list, set))}
+def _container_sizes():
+    # every module-level container of graphs, by name
+    return {name: len(value) for name, value in vars(graphs).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))}
 
-    before = container_sizes()
+
+def test_chromatic_polynomial_keeps_no_memo_across_calls():
+    before = _container_sizes()
     rng = random.Random(99)
     for _ in range(10):
         chromatic_polynomial(random_graph(rng, 8, p=0.5))
         assert chromatic_polynomial.cache_info().currsize <= 1
-    assert container_sizes() == before
+    assert _container_sizes() == before
 
 
 def test_chromatic_memo_budget_is_a_resource_bound(monkeypatch):
@@ -483,9 +485,22 @@ def test_stable_partition_types_against_brute_force():
         grow(0, [])
         return found
 
-    for _ in range(12):
-        g = random_graph(rng, rng.randrange(1, 7))
+    # every shape of a graph shares one search, so sparse and dense
+    # graphs on up to 8 vertices (Bell(8) = 4140 set partitions) check
+    # shapes that reach the same sub-searches
+    for _ in range(60):
+        g = random_graph(rng, rng.randrange(1, 9), p=rng.random())
         assert stable_partition_types(g) == brute_types(g), g
+
+
+def test_stable_partition_search_keeps_no_memo_across_calls():
+    before = _container_sizes()
+    rng = random.Random(100)
+    for _ in range(10):
+        g = random_graph(rng, 9, p=0.3)
+        stable_partition_types(g)
+        is_nice(g)
+    assert _container_sizes() == before
 
 
 def test_stable_partition_types_resource_cap(monkeypatch):
