@@ -19,7 +19,13 @@ import os
 import sys
 from typing import Sequence
 
-from .compositions import Composition, chord_weight, segment_dissection, split_params
+from .compositions import (
+    Composition,
+    SegmentDissection,
+    chord_weight,
+    segment_dissection,
+    split_params,
+)
 from .engine import (
     VerificationReport,
     check_conversion_table,
@@ -34,6 +40,7 @@ from .graphs import (
     GraphSpec,
     ResourceLimitError,
     build_graph,
+    check_coloring_vertices,
     check_memo_edges,
     check_stable_vertices,
     count_proper_colorings,
@@ -149,14 +156,13 @@ def cmd_csf(args) -> int:
 _DELTA_MAX_CELLS = 10_000
 
 
-def _delta_picture(comp: Composition, b: int) -> list[str]:
+def _delta_picture(comp: Composition, d: SegmentDissection) -> list[str]:
     # one cell per vertex of the segments i_1, ..., i_z, i_1, one per bar
     width = sum(comp) + comp[0] + len(comp) + 2
     if width > _DELTA_MAX_CELLS:
         raise ResourceLimitError.capped("delta picture", _DELTA_MAX_CELLS, "cells",
                                         f"this one needs {width}; --format json prints "
                                         "the segments instead")
-    d = segment_dissection(comp, b)
     lo, hi = d.window
     z = len(comp)
     cells = []
@@ -180,6 +186,7 @@ def cmd_delta(args) -> int:
     sp = split_params(comp, b)
     d = segment_dissection(comp, b)
     inside = d.window_inside()
+    leftovers = [d.window[0] - inside[0], inside[1] - d.window[1]] if inside else None
     if args.format == "json":
         payload = {
             "composition": list(comp),
@@ -192,7 +199,7 @@ def cmd_delta(args) -> int:
             "delta": value,
         }
         if inside:
-            payload["leftovers"] = [d.window[0] - inside[0], inside[1] - d.window[1]]
+            payload["leftovers"] = leftovers
         else:
             payload["overlaps"] = list(d.overlaps())
         print(json.dumps(payload))
@@ -201,14 +208,12 @@ def cmd_delta(args) -> int:
         f"composition {','.join(map(str, comp))}   n = {n}   b = {b}",
         f"split: p={sp.p} s={sp.s} q={sp.q} t={sp.t}",
         f"window ({d.window[0]}, {d.window[1]}]",
-        *_delta_picture(comp, b),
+        *_delta_picture(comp, d),
     ]
     if inside:
-        left = d.window[0] - inside[0]
-        right = inside[1] - d.window[1]
         lines.append(
             f"window inside ({inside[0]}, {inside[1]}]: "
-            f"leftovers {left} * {right}"
+            f"leftovers {leftovers[0]} * {leftovers[1]}"
         )
     else:
         lines.append(
@@ -305,12 +310,15 @@ def cmd_nice(args) -> int:
 
 def cmd_chrompoly(args) -> int:
     spec = parse_graph_spec(args.graph)
-    check_memo_edges(FAMILIES[spec.family].size(spec)[1])
+    n, m, _ = FAMILIES[spec.family].size(spec)
+    check_memo_edges(m)
+    check_coloring_vertices(n)
     graph = build_graph(spec)
     counts = [count_proper_colorings(graph, k) for k in range(graph.n + 1)]
     # Python refuses to write an int of more than 4300 digits, to keep
-    # parsing hostile input fast, but 1400**1400 has 4405: lift the cap
-    # while the counts are written, and write them whole or not at all
+    # parsing hostile input fast, and PYTHONINTMAXSTRDIGITS may lower that
+    # to 640, but 1000**1000 has 3001: lift the cap while the counts are
+    # written, and write them whole or not at all
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -381,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", metavar="FILE", default=None,
                    help="JSON-lines checkpoint to append to and resume from")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (default: 1)")
+                   help="at most this many worker processes (default: 1)")
     _add_format(p, latex=False)
     p.set_defaults(handler=cmd_scan_theta)
 

@@ -46,6 +46,7 @@ from .graphs import (
     GraphSpec,
     ResourceLimitError,
     build_graph,
+    check_coloring_vertices,
     check_memo_edges,
     count_proper_colorings,
     theta_graph,
@@ -73,11 +74,6 @@ _ORACLE_MAX_STATES = 500_000
 # lists per vertex.  csf edges:1000000; takes 1.6-1.9 s and 207 MB on a
 # 2-CPU host; edges:3000000; took 4.3 s and 589 MB.
 _ORACLE_MAX_VERTICES = 1_000_000
-
-# Vertices of one graph whose oracle verify checks against the coloring
-# count at k = 0..n, work that grows about as n**3: verify edges:1000;
-# takes 0.63-0.68 s on a 2-CPU host, edges:2000; 4.7 s.
-_COLORING_MAX_VERTICES = 1_000
 
 # The formulas visit all 2**(n-1) compositions of n; at n = 26 that is
 # 2**25 of them, 6 to 7 s per family on a 2-CPU host.
@@ -474,7 +470,7 @@ def verify(spec: GraphSpec) -> VerificationReport:
     coloring memo could not hold; then always runs the edge-subset
     oracle, and checks the principal specialization against the
     independent coloring count at k = 0..n, refusing that check on a
-    graph of more than _COLORING_MAX_VERTICES vertices.
+    graph that check_coloring_vertices refuses.
     """
     timings: dict[str, float] = {}
 
@@ -491,9 +487,7 @@ def verify(spec: GraphSpec) -> VerificationReport:
     equal = None if formula is None else formula == oracle
     timings["oracle"] = time.perf_counter() - start
 
-    if graph.n > _COLORING_MAX_VERTICES:
-        raise ResourceLimitError.capped("coloring check", _COLORING_MAX_VERTICES, "vertices",
-                                        f"graph has {graph.n}")
+    check_coloring_vertices(graph.n)
     start = time.perf_counter()
     colorings_match = all(
         principal_specialization(oracle, k) == count_proper_colorings(graph, k)
@@ -640,7 +634,9 @@ def scan_theta(
     refused before any work.  With a checkpoint path, finished rows are
     appended as JSON lines and a rerun replays them without
     recomputation; a path that cannot be read or appended to raises
-    ValueError before any work.
+    ValueError before any work.  jobs > 1 scans the cells in a process
+    pool of at most jobs workers, and no more than the cells left to
+    scan or the CPUs.
     """
     _arrangement_table(_width(n_max), n_max)
     cells = theta_scan_cells(n_max)
@@ -650,9 +646,11 @@ def scan_theta(
     except OSError as exc:
         raise ValueError(f"cannot use checkpoint {checkpoint}: {exc.strerror}") from None
     pending = [cell for cell in cells if cell not in done]
+    # a pool forks all its workers at its first submit
+    jobs = min(jobs, len(pending), os.cpu_count() or 1)
 
     fresh: Iterator[ThetaScanRow]
-    if jobs > 1 and pending:
+    if jobs > 1:
         # imported here, so only a parallel scan loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 

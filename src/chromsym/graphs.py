@@ -274,11 +274,12 @@ def _tail(edges: int) -> list[Chain]:
 
 
 def _chord_skeleton(spec: GraphSpec) -> Skeleton:
-    # a unit arc's chord is a cycle edge and is dropped
+    # the chord joins 0 and a; a unit arc's chord is a cycle edge and is dropped
     a, b = spec.params
     return 1, [(0, None, a), (a, 0, b)] + ([(0, a, 1)] if min(a, b) > 1 else [])
 
 
+# hubs 0 and 1 joined by one path per length: sum(lengths) - len(lengths) + 2 vertices
 _MULTIPATH = FamilyRow(None, lambda spec: (2, [(0, 1, length) for length in spec.params]),
                        _check_lengths, _multipath_formula, _multipath_positive,
                        path_lengths=True)
@@ -304,43 +305,6 @@ def build_graph(spec: GraphSpec) -> Graph:
     return _skeleton_graph(*FAMILIES[spec.family].skeleton(spec))
 
 
-def path_graph(n: int) -> Graph:
-    """Path on n vertices, edges i -- i+1."""
-    return build_graph(GraphSpec(Family.PATH, (n,)))
-
-
-def cycle_graph(n: int) -> Graph:
-    """Cycle on n vertices; a simple cycle needs n >= 3."""
-    return build_graph(GraphSpec(Family.CYCLE, (n,)))
-
-
-def tadpole_graph(m: int, tail: int) -> Graph:
-    """Cycle on m vertices with a path of tail extra vertices hung off
-    cycle vertex 0.  tail = 0 gives the plain cycle."""
-    return build_graph(GraphSpec(Family.TADPOLE, (m, tail)))
-
-
-def cycle_chord_graph(a: int, b: int) -> Graph:
-    """Cycle on a + b vertices with a chord joining vertices 0 and a,
-    splitting the cycle into arcs of a and b edges.
-
-    When a or b is 1 the chord coincides with a cycle edge and is
-    dropped, leaving the plain cycle.
-    """
-    return build_graph(GraphSpec(Family.CYCLE_CHORD, (a, b)))
-
-
-def multipath_graph(path_lengths: Iterable[int]) -> Graph:
-    """Two hub vertices 0 and 1 joined by internally disjoint paths,
-    one of each given edge length.
-
-    A second length-1 path would duplicate the hub edge, so at most one
-    part may equal 1.  The vertex count is (sum of lengths) - (number
-    of paths) + 2.
-    """
-    return build_graph(GraphSpec(Family.MULTIPATH, tuple(path_lengths)))
-
-
 def theta_graph(a: int, b: int, c: int) -> Graph:
     """Two vertices joined by three internally disjoint paths of a, b,
     and c edges."""
@@ -361,6 +325,11 @@ def render_graph_spec(spec: GraphSpec) -> str:
 # bounds both the memo's memory and the work.  path:500 holds 124 750,
 # cycle:500 186 999 and K16 6 686, while path:1200 would need 719 400.
 _CHROM_MAX_MEMO = 500_000
+
+# Vertices of one graph whose coloring counts are taken at k = 0..n,
+# work that grows about as n**3: verify edges:1000; takes 0.63-0.68 s on
+# a 2-CPU host, edges:2000; 4.7 s, and chrompoly edges:4000; 33 s.
+_COLORING_MAX_VERTICES = 1_000
 
 
 def _kernel_form(n: int, edges: Iterable[Edge]):
@@ -425,6 +394,14 @@ def check_memo_edges(m: int) -> None:
     if m > _CHROM_MAX_MEMO:
         raise ResourceLimitError.capped("deletion-contraction", _CHROM_MAX_MEMO,
                                         "edges in its memo", f"graph has {m}")
+
+
+def check_coloring_vertices(n: int) -> None:
+    """Refuse coloring counts at k = 0..n for a graph of n vertices,
+    more than the coloring check takes."""
+    if n > _COLORING_MAX_VERTICES:
+        raise ResourceLimitError.capped("coloring check", _COLORING_MAX_VERTICES,
+                                        "vertices", f"graph has {n}")
 
 
 @functools.lru_cache(maxsize=1)

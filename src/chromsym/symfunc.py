@@ -89,12 +89,9 @@ class SymFunc:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def support(self) -> tuple[Partition, ...]:
-        """Index partitions with nonzero coefficient, in term order."""
-        return tuple(sorted(self._terms, key=term_sort_key))
-
     def sorted_terms(self) -> tuple[tuple[Partition, int], ...]:
-        return tuple((lam, self._terms[lam]) for lam in self.support())
+        """The nonzero terms, in term order."""
+        return tuple((lam, self._terms[lam]) for lam in sorted(self._terms, key=term_sort_key))
 
     def _check_basis(self, other: "SymFunc") -> None:
         if self.basis is not other.basis:

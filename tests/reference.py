@@ -15,7 +15,8 @@ three-edge deletion identities are here too: they are paper identities
 that only the tests check.
 They exist only to cross-check the package, so they live beside the
 tests and not in it.  The file name does not start with test_, so
-pytest imports it without collecting it.
+pytest imports it without collecting it.  named_graph, the one
+shorthand the tests share for a family's graph, builds it from its spec.
 """
 
 import itertools
@@ -32,7 +33,7 @@ from chromsym.compositions import (
     surplus,
 )
 from chromsym.engine import _aggregate, _place, csf_oracle
-from chromsym.graphs import Edge, Graph, _normalize_edge
+from chromsym.graphs import Edge, Family, Graph, GraphSpec, _normalize_edge, build_graph
 from chromsym.symfunc import Basis, SymFunc, _pack, _unpack, _width, p_to_e
 
 # ----------------------------------------------------------- compositions
@@ -178,6 +179,14 @@ def aggregate_every_composition(n: int, coeff) -> SymFunc:
 
 
 # ----------------------------------------------------------------- graphs
+
+
+def named_graph(keyword: str, *params: int) -> Graph:
+    """The graph of the spec keyword:params, e.g. named_graph("cc", 3, 4),
+    built as a library caller builds one: build_graph(GraphSpec(...))."""
+    return build_graph(GraphSpec(Family(keyword), params))
+
+
 # Bare parent/size arrays with union by size.
 
 

@@ -28,12 +28,7 @@ from chromsym.engine import (
 from chromsym.graphs import (
     Graph,
     count_proper_colorings,
-    cycle_chord_graph,
-    cycle_graph,
-    multipath_graph,
-    path_graph,
     stable_partition_types,
-    tadpole_graph,
     theta_graph,
     is_nice,
 )
@@ -43,6 +38,7 @@ from reference import (
     chord_weight_by_segments,
     csf_cycle_chord_signed,
     deficiency,
+    named_graph,
     reverse,
     triple_split_graphs,
 )
@@ -62,15 +58,15 @@ def _report(num: int, label: str, started: float, budget: float | None = None):
 def _family_sweep():
     """The graphs of criterion 2, with their closed-form functions."""
     for n in range(1, 15):
-        yield path_graph(n), csf_path(n)
+        yield named_graph("path", n), csf_path(n)
     for n in range(3, 15):
-        yield cycle_graph(n), csf_cycle(n)
+        yield named_graph("cycle", n), csf_cycle(n)
     for m in range(3, 15):
         for tail in range(0, 15 - m):
-            yield tadpole_graph(m, tail), csf_tadpole(m, tail)
+            yield named_graph("tadpole", m, tail), csf_tadpole(m, tail)
     for a in range(2, 13):
         for b in range(2, 15 - a):
-            yield cycle_chord_graph(a, b), csf_cycle_chord(a, b)
+            yield named_graph("cc", a, b), csf_cycle_chord(a, b)
 
 
 def test_criterion_01_worked_example_exact(capsys):
@@ -185,7 +181,7 @@ def test_criterion_08_triple_deletion_identities():
         done += 1
     # the chord recurrence instance: adding edges to the 6-path base
     # realizes the degenerate tadpoles and both chorded cycles
-    base = path_graph(6)
+    base = named_graph("path", 6)
     assert check_triple_deletion(base, 0, 3, 5)
     split = triple_split_graphs(base, 0, 3, 5)
     assert csf_oracle(split[frozenset({1, 2})]) == csf_cycle_chord(3, 3)
@@ -205,15 +201,15 @@ def test_criterion_09_specialization_counts_colorings():
 
 def test_criterion_10_stable_partition_niceness():
     started = time.perf_counter()
-    small = stable_partition_types(multipath_graph((2, 2, 2, 1)))
+    small = stable_partition_types(named_graph("glambda", 2, 2, 2, 1))
     assert (3, 1, 1) in small
     assert (2, 2, 1) not in small
-    big = stable_partition_types(multipath_graph((2, 2, 2, 2)))
+    big = stable_partition_types(named_graph("glambda", 2, 2, 2, 2))
     assert (4, 2) in big
     assert (3, 3) not in big
-    ok, witness = is_nice(multipath_graph((2, 2, 2, 1)))
+    ok, witness = is_nice(named_graph("glambda", 2, 2, 2, 1))
     assert not ok and witness == ((3, 1, 1), (2, 2, 1))
-    ok, witness = is_nice(multipath_graph((2, 2, 2, 2)))
+    ok, witness = is_nice(named_graph("glambda", 2, 2, 2, 2))
     assert not ok and witness == ((4, 2), (3, 3))
     _report(10, "niceness fails with the exact dominance witnesses", started, 5.0)
 

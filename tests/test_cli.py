@@ -752,9 +752,9 @@ def test_chrompoly_counts(capsys):
 
 
 def test_chrompoly_long_paths_never_trace_back():
-    # deletion-contraction runs without recursion, and a path whose
-    # minors would hold more edges than the memo budget (719 400 for
-    # path:1200) is a resource bound, not a crash
+    # deletion-contraction runs without recursion, and path:1200, past
+    # the coloring check's 1000 vertices (its minors would also hold
+    # 719 400 edges, past the memo budget), is a resource bound, not a crash
     ok = run_module("chrompoly", "path:500", "--format", "json", capture_output=True)
     assert ok.returncode == 0, ok.stderr
     assert json.loads(ok.stdout)["counts"][2] == 2
@@ -789,6 +789,7 @@ def test_chrompoly_minor_budget_is_a_resource_bound():
      "deletion-contraction capped at 500000 edges in its memo, graph has 999999"),
     ("chrompoly", "cc:1,500000",
      "deletion-contraction capped at 500000 edges in its memo, graph has 500001"),
+    ("chrompoly", "edges:1001;", "coloring check capped at 1000 vertices, graph has 1001"),
 ])
 def test_size_bounds_come_before_the_build(command, spec, message, monkeypatch, capsys):
     def refuse(spec):
@@ -864,7 +865,8 @@ def test_bad_edges_are_usage_errors_when_the_spec_is_made(argv, message, capsys)
 def test_chrompoly_prints_counts_past_the_digit_cap(capsys):
     # Python refuses to print ints of more than sys.get_int_max_str_digits()
     # digits; lowered to 640, the edgeless 300-vertex graph's 300**300
-    # (744 digits) stands in for edges:1400;'s 1400**1400 (4405 digits)
+    # (744 digits) stands in for edges:1000;'s 1000**1000 (3001 digits)
+    # under a PYTHONINTMAXSTRDIGITS below 3001
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:

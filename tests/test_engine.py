@@ -8,8 +8,10 @@ reference.py, by algebraic invariants (disjoint unions multiply) and,
 in test_acceptance, by the independent coloring counter.
 """
 
+import concurrent.futures
 import itertools
 import json
+import os
 import random
 import time
 from pathlib import Path
@@ -39,11 +41,6 @@ from chromsym.graphs import (
     GraphSpec,
     ResourceLimitError,
     build_graph,
-    cycle_chord_graph,
-    cycle_graph,
-    multipath_graph,
-    path_graph,
-    tadpole_graph,
     theta_graph,
 )
 from chromsym.symfunc import Basis, SymFunc, p_to_e, render_latex
@@ -56,6 +53,7 @@ from reference import (
     csf_cycle_chord_signed,
     cut_terms_by_splits,
     monomial,
+    named_graph,
     signed_chord_weight,
     triple_split_graphs,
 )
@@ -116,24 +114,24 @@ def test_formula_domain_errors():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_path_formula_matches_oracle(n):
-    assert csf_path(n) == csf_oracle(path_graph(n))
+    assert csf_path(n) == csf_oracle(named_graph("path", n))
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_cycle_formula_matches_oracle(n):
-    assert csf_cycle(n) == csf_oracle(cycle_graph(n))
+    assert csf_cycle(n) == csf_oracle(named_graph("cycle", n))
 
 
 def test_tadpole_formula_matches_oracle():
     for m in range(3, 8):
         for tail in range(0, 8 - m + 1):
-            assert csf_tadpole(m, tail) == csf_oracle(tadpole_graph(m, tail)), (m, tail)
+            assert csf_tadpole(m, tail) == csf_oracle(named_graph("tadpole", m, tail)), (m, tail)
 
 
 def test_cycle_chord_formula_matches_oracle():
     for a in range(2, 7):
         for b in range(2, 9 - a + 1):
-            assert csf_cycle_chord(a, b) == csf_oracle(cycle_chord_graph(a, b)), (a, b)
+            assert csf_cycle_chord(a, b) == csf_oracle(named_graph("cc", a, b)), (a, b)
 
 
 def test_degenerate_reductions():
@@ -231,7 +229,7 @@ def test_oracle_multiplies_over_disjoint_union():
 def test_oracle_respects_state_budget(monkeypatch):
     # the path on 7 vertices is one chain, which leaves the 15 partitions
     # of 7 as live terms
-    g = path_graph(7)
+    g = named_graph("path", 7)
     monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 14)
     with pytest.raises(ResourceLimitError, match="14 live states, chain 1 of 1 left 15"):
         csf_oracle(g)
@@ -257,7 +255,7 @@ def test_oracle_counts_a_shared_target_once_and_keeps_its_order(monkeypatch):
     # labelling, so they land in one dict: the count reads it once, and
     # the kept term is written after the cut terms, an order the next
     # chain's refusal point depends on
-    tadpole = tadpole_graph(7, 5)
+    tadpole = named_graph("tadpole", 7, 5)
     monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 76)
     with pytest.raises(ResourceLimitError) as exc:
         csf_oracle(tadpole)
@@ -293,10 +291,11 @@ def test_kept_closing_cut_terms_change_no_result_and_no_refusal(monkeypatch):
     # at the same term on a warm store
     monkeypatch.setattr(engine, "_KEPT_CUTS", {})
     graphs = [theta_graph(*cell) for cell in theta_scan_cells(17)]
-    graphs += [make(n) for n in range(3, 13) for make in (path_graph, cycle_graph)]
-    graphs += [tadpole_graph(m, t) for m in (3, 5, 8) for t in (1, 4, 7)]
-    graphs += [cycle_chord_graph(a, b) for a, b in [(2, 3), (4, 4), (6, 3), (9, 7)]]
-    graphs += [multipath_graph(lengths) for lengths in [(2, 3, 4, 1), (3, 3, 5, 5), (6, 4, 3, 2)]]
+    graphs += [named_graph(keyword, n) for n in range(3, 13) for keyword in ("path", "cycle")]
+    graphs += [named_graph("tadpole", m, t) for m in (3, 5, 8) for t in (1, 4, 7)]
+    graphs += [named_graph("cc", a, b) for a, b in [(2, 3), (4, 4), (6, 3), (9, 7)]]
+    graphs += [named_graph("glambda", *lengths)
+               for lengths in [(2, 3, 4, 1), (3, 3, 5, 5), (6, 4, 3, 2)]]
     graphs += [_ladder(rungs) for rungs in (3, 5, 8)]
     graphs.append(Graph(7, ((0, 2), (0, 4), (0, 5), (1, 3), (1, 6), (2, 3), (2, 6),
                             (3, 4), (3, 5), (3, 6), (4, 5), (5, 6))))
@@ -316,7 +315,7 @@ def test_kept_closing_cut_terms_change_no_result_and_no_refusal(monkeypatch):
     shapes = [shape for _, _, store in engine._KEPT_CUTS.values() for shape in store]
     assert any(nm is not None for *_, nm in shapes)
     for graph, budget, left in [
-        (tadpole_graph(7, 5), 76, "chain 2 of 2 left 77"),
+        (named_graph("tadpole", 7, 5), 76, "chain 2 of 2 left 77"),
         (Graph(7, ((0, 1), (0, 4), (0, 6), (2, 6), (3, 5), (3, 6), (4, 5))), 5,
          "chain 3 of 4 left 12"),
     ]:
@@ -325,7 +324,7 @@ def test_kept_closing_cut_terms_change_no_result_and_no_refusal(monkeypatch):
             csf_oracle(graph)
         assert str(exc.value) == f"oracle transfer capped at {budget} live states, {left}"
     monkeypatch.setattr(engine, "_ORACLE_MAX_STATES", 77)
-    assert csf_oracle(tadpole_graph(7, 5)) == csf_tadpole(7, 5)
+    assert csf_oracle(named_graph("tadpole", 7, 5)) == csf_tadpole(7, 5)
 
 
 def test_oracle_caps_the_free_middle_tables(monkeypatch):
@@ -345,15 +344,15 @@ def test_oracle_caps_the_free_middle_tables(monkeypatch):
     with monkeypatch.context() as steps:
         steps.setattr(engine, "_cut_terms", cut_terms)
         with pytest.raises(Stepped):
-            csf_oracle(path_graph(11))
+            csf_oracle(named_graph("path", 11))
         with pytest.raises(ResourceLimitError) as exc:
-            csf_oracle(path_graph(12))
+            csf_oracle(named_graph("path", 12))
     assert str(exc.value) == "p_to_e capped at 30 accumulator terms, the image of p_10 has 42"
     assert len(symfunc._TABLES[symfunc._width(12)][0]) == 10
     # the transfer takes the path on 11, and its conversion meets A_10
-    assert csf_oracle(path_graph(9)) == csf_path(9)
+    assert csf_oracle(named_graph("path", 9)) == csf_path(9)
     with pytest.raises(ResourceLimitError, match="the image of p_10 has 42$"):
-        csf_oracle(path_graph(11))
+        csf_oracle(named_graph("path", 11))
 
 
 @pytest.mark.parametrize("lengths", [(5, 3, 2), (2, 7, 3), (6, 3, 2, 1), (3, 3, 3, 3, 6)])
@@ -386,7 +385,7 @@ def test_oracle_crosses_block_boundary():
     # skipping all 14 edges leaves fifteen parts of size 1, which fill
     # the 4-bit digit of the packed multiset exactly; one bit fewer and
     # the count would carry into the digit for parts of size 2
-    g = path_graph(15)
+    g = named_graph("path", 15)
     assert csf_oracle(g) == csf_path(15)
 
 
@@ -485,7 +484,7 @@ def test_chains_of_a_graph():
     g = Graph(10, ((0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (5, 6), (6, 7), (7, 8), (5, 8)))
     assert engine._graph_chains(g) == [(0, 0, 2), (0, 4, 1), (5, 5, 3)]
     # a multipath graph's chains are its paths, shortest first
-    g = multipath_graph((3, 1, 2))
+    g = named_graph("glambda", 3, 1, 2)
     assert engine._graph_chains(g) == [(0, 1, 0), (0, 1, 1), (0, 1, 2)]
 
 
@@ -508,7 +507,7 @@ def multipath_lengths(draw):
 @settings(max_examples=80, deadline=None)
 @given(multipath_lengths())
 def test_multipath_transfer_matches_oracle(lengths):
-    g = multipath_graph(lengths)
+    g = named_graph("glambda", *lengths)
     assert csf_oracle(g) == csf_by_edge_transfer(g)
 
 
@@ -543,10 +542,10 @@ def test_transfer_and_conversion_share_one_arrangement_table(monkeypatch):
     # edge-by-edge reference reads no table, so it keeps the honest sum
     for module in engine, reference:  # keep both routes' p-basis sums
         monkeypatch.setattr(module, "p_to_e", lambda f: f)
-    g = multipath_graph((4, 2, 2))
+    g = named_graph("glambda", 4, 2, 2)
     # one chain of 3 inner vertices whose ends both retire: its cut terms
     # are kept across calls, and must be dropped with the table they read
-    path = path_graph(5)
+    path = named_graph("path", 5)
     for graph in g, path:
         assert csf_oracle(graph) == csf_by_edge_transfer(graph)
     w = symfunc._width(g.n)
@@ -595,7 +594,7 @@ def test_kept_closing_cut_terms_stay_within_the_conversion_budget(monkeypatch):
     assert rows == expected[:len(rows)]
     assert max(built) <= 40
     assert any(now.get(w, 0) < seen[i].get(w, 0) for i, now in enumerate(seen[1:]) for w in now)
-    assert csf_oracle(tadpole_graph(8, 1)) == csf_tadpole(8, 1)
+    assert csf_oracle(named_graph("tadpole", 8, 1)) == csf_tadpole(8, 1)
     assert max(built) == 45
     held()
 
@@ -603,7 +602,7 @@ def test_kept_closing_cut_terms_stay_within_the_conversion_budget(monkeypatch):
 def test_multipath_transfer_rejects_what_the_builder_rejects():
     for lengths in [(), (3, 0), (1, 1, 2)]:
         with pytest.raises(ValueError):
-            multipath_graph(lengths)
+            named_graph("glambda", *lengths)
 
 
 # --------------------------------------------------------- verification
@@ -663,7 +662,7 @@ def test_verify_explicit_edges():
 def test_triple_deletion_on_recurrence_instance():
     # base path 0-1-2-3-4-5 with linking vertices 0, 3, 5: adding the
     # first two edges builds the chorded cycle with arcs (3, 3)
-    base = path_graph(6)
+    base = named_graph("path", 6)
     assert check_triple_deletion(base, 0, 3, 5)
     split = triple_split_graphs(base, 0, 3, 5)
     assert csf_oracle(split[frozenset({1, 2})]) == csf_cycle_chord(3, 3)
@@ -810,6 +809,28 @@ def test_scan_parallel_matches_serial():
     serial = list(scan_theta(8))
     parallel = list(scan_theta(8, jobs=2))
     assert parallel == serial
+
+
+def test_scan_asks_for_no_more_workers_than_cells_or_cpus(monkeypatch):
+    # a pool forks every worker it is asked for at its first submit, so
+    # a huge jobs must not reach it; the fake maps in this process
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    serial = list(scan_theta(8))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    assert list(scan_theta(8, jobs=10**6)) == serial
+    assert len(asked) <= 1
+    assert all(w <= min(len(theta_scan_cells(8)), os.cpu_count() or 1) for w in asked)
 
 
 def test_closing_parallel_scan_cancels_pending_cells():

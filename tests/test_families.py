@@ -25,16 +25,11 @@ from chromsym.graphs import (
     GraphSpec,
     ResourceLimitError,
     build_graph,
-    cycle_chord_graph,
-    cycle_graph,
-    multipath_graph,
-    path_graph,
     render_graph_spec,
-    tadpole_graph,
     theta_graph,
 )
 from chromsym.symfunc import is_e_positive, p_to_e
-from reference import component_partition
+from reference import component_partition, named_graph
 
 
 def _path_lengths(count):
@@ -73,14 +68,14 @@ SPECS = {
 specs = st.sampled_from(list(SPECS)).flatmap(SPECS.__getitem__)
 
 
-# the public builders, called with raw ints as a library caller would
+# each family's graph from raw ints, as a library caller builds it
 BUILDERS = {
-    Family.PATH: lambda params, edges: path_graph(*params),
-    Family.CYCLE: lambda params, edges: cycle_graph(*params),
-    Family.TADPOLE: lambda params, edges: tadpole_graph(*params),
-    Family.CYCLE_CHORD: lambda params, edges: cycle_chord_graph(*params),
+    Family.PATH: lambda params, edges: named_graph("path", *params),
+    Family.CYCLE: lambda params, edges: named_graph("cycle", *params),
+    Family.TADPOLE: lambda params, edges: named_graph("tadpole", *params),
+    Family.CYCLE_CHORD: lambda params, edges: named_graph("cc", *params),
     Family.THETA: lambda params, edges: theta_graph(*params),
-    Family.MULTIPATH: lambda params, edges: multipath_graph(params),
+    Family.MULTIPATH: lambda params, edges: named_graph("glambda", *params),
     Family.EDGES: lambda params, edges: Graph(*params, edges),
 }
 

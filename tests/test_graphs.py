@@ -25,19 +25,15 @@ from chromsym.graphs import (
     build_graph,
     chromatic_polynomial,
     count_proper_colorings,
-    cycle_chord_graph,
-    cycle_graph,
     is_nice,
-    multipath_graph,
-    path_graph,
     render_graph_spec,
     stable_partition_types,
-    tadpole_graph,
     theta_graph,
 )
 from reference import (
     chromatic_polynomial_by_deletion_contraction,
     component_partition,
+    named_graph,
     triple_split_graphs,
 )
 
@@ -94,57 +90,57 @@ def test_adjacency_masks():
 # ----------------------------------------------------------- constructors
 
 def test_path_and_cycle_shapes():
-    assert path_graph(1) == Graph(1, ())
-    assert path_graph(4).edges == ((0, 1), (1, 2), (2, 3))
-    assert cycle_graph(3).edges == ((0, 1), (0, 2), (1, 2))
-    assert cycle_graph(5).m == 5
+    assert named_graph("path", 1) == Graph(1, ())
+    assert named_graph("path", 4).edges == ((0, 1), (1, 2), (2, 3))
+    assert named_graph("cycle", 3).edges == ((0, 1), (0, 2), (1, 2))
+    assert named_graph("cycle", 5).m == 5
     with pytest.raises(ValueError):
-        path_graph(0)
+        named_graph("path", 0)
     with pytest.raises(ValueError):
-        cycle_graph(2)
+        named_graph("cycle", 2)
 
 
 def test_tadpole_shape():
-    g = tadpole_graph(4, 2)
+    g = named_graph("tadpole", 4, 2)
     assert g.n == 6 and g.m == 6
     assert (0, 4) in g.edges and (4, 5) in g.edges
-    assert tadpole_graph(3, 0) == cycle_graph(3)
+    assert named_graph("tadpole", 3, 0) == named_graph("cycle", 3)
     with pytest.raises(ValueError):
-        tadpole_graph(2, 1)
+        named_graph("tadpole", 2, 1)
     with pytest.raises(ValueError):
-        tadpole_graph(3, -1)
+        named_graph("tadpole", 3, -1)
 
 
 def test_cycle_chord_shape():
-    g = cycle_chord_graph(2, 2)
+    g = named_graph("cc", 2, 2)
     # every pair except {1, 3}
     assert g == Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2)))
-    assert cycle_chord_graph(3, 3).m == 7
-    assert cycle_chord_graph(3, 3).n == 6
+    assert named_graph("cc", 3, 3).m == 7
+    assert named_graph("cc", 3, 3).n == 6
 
 
 def test_cycle_chord_degenerate_arcs_drop_chord():
-    assert cycle_chord_graph(1, 4) == cycle_graph(5)
-    assert cycle_chord_graph(4, 1) == cycle_graph(5)
-    assert cycle_chord_graph(5, 1) == cycle_graph(6)
+    assert named_graph("cc", 1, 4) == named_graph("cycle", 5)
+    assert named_graph("cc", 4, 1) == named_graph("cycle", 5)
+    assert named_graph("cc", 5, 1) == named_graph("cycle", 6)
     with pytest.raises(ValueError):
-        cycle_chord_graph(0, 4)
+        named_graph("cc", 0, 4)
     with pytest.raises(ValueError):
-        cycle_chord_graph(1, 1)
+        named_graph("cc", 1, 1)
 
 
 def test_multipath_shape():
-    g = multipath_graph((2, 2, 2, 1))
+    g = named_graph("glambda", 2, 2, 2, 1)
     assert g.n == 5 and g.m == 7
-    assert multipath_graph((2, 1)) == cycle_graph(3)
+    assert named_graph("glambda", 2, 1) == named_graph("cycle", 3)
     # order of lengths must not matter
-    assert multipath_graph((1, 2, 3)) == multipath_graph((3, 2, 1))
+    assert named_graph("glambda", 1, 2, 3) == named_graph("glambda", 3, 2, 1)
     with pytest.raises(ValueError):
-        multipath_graph(())
+        named_graph("glambda")
     with pytest.raises(ValueError):
-        multipath_graph((3, 0))
+        named_graph("glambda", 3, 0)
     with pytest.raises(ValueError):
-        multipath_graph((2, 1, 1))
+        named_graph("glambda", 2, 1, 1)
 
 
 def test_theta_shape():
@@ -158,7 +154,7 @@ def test_theta_shape():
     assert sorted(degree, reverse=True) == [3, 3, 2, 2, 2, 2]
     # one path of length 1 collapses to a chorded cycle
     a = theta_graph(2, 2, 1)
-    b = cycle_chord_graph(2, 2)
+    b = named_graph("cc", 2, 2)
     assert (a.n, a.m) == (b.n, b.m)
     assert chromatic_polynomial(a) == chromatic_polynomial(b)
 
@@ -171,12 +167,17 @@ def test_graph_spec_canonicalizes_theta_params():
 
 
 def test_build_graph_dispatch():
-    assert build_graph(GraphSpec(Family.PATH, (4,))) == path_graph(4)
-    assert build_graph(GraphSpec(Family.CYCLE, (5,))) == cycle_graph(5)
-    assert build_graph(GraphSpec(Family.TADPOLE, (4, 2))) == tadpole_graph(4, 2)
-    assert build_graph(GraphSpec(Family.CYCLE_CHORD, (3, 2))) == cycle_chord_graph(3, 2)
+    # each row's chains, their vertices labelled in turn
+    assert build_graph(GraphSpec(Family.PATH, (4,))) == Graph(4, ((0, 1), (1, 2), (2, 3)))
+    assert build_graph(GraphSpec(Family.CYCLE, (5,))) == Graph(
+        5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))
+    assert build_graph(GraphSpec(Family.TADPOLE, (4, 2))) == Graph(
+        6, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)))
+    assert build_graph(GraphSpec(Family.CYCLE_CHORD, (3, 2))) == Graph(
+        5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 3)))
     assert build_graph(GraphSpec(Family.THETA, (3, 2, 2))) == theta_graph(3, 2, 2)
-    assert build_graph(GraphSpec(Family.MULTIPATH, (2, 2, 2))) == multipath_graph((2, 2, 2))
+    assert build_graph(GraphSpec(Family.MULTIPATH, (2, 2, 2))) == Graph(
+        5, ((0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)))
     spec = GraphSpec(Family.EDGES, (4,), ((0, 1), (2, 3)))
     assert build_graph(spec) == Graph(4, ((0, 1), (2, 3)))
     with pytest.raises(ValueError):
@@ -257,7 +258,7 @@ def test_edges_spec_is_checked_when_made(n, edges, message):
 # ------------------------------------------------------------- colorings
 
 def test_component_partition():
-    g = cycle_graph(5)
+    g = named_graph("cycle", 5)
     assert component_partition(g, ()) == (1, 1, 1, 1, 1)
     assert component_partition(g, ((0, 1), (1, 2))) == (3, 1, 1)
     assert component_partition(g, g.edges) == (5,)
@@ -285,11 +286,11 @@ def test_component_partition_one_part_iff_connected():
 
 def test_count_proper_colorings_known_formulas():
     for n in range(1, 8):
-        g = path_graph(n)
+        g = named_graph("path", n)
         for k in range(0, 6):
             assert count_proper_colorings(g, k) == (k * (k - 1) ** (n - 1) if k else 0)
     for n in range(3, 8):
-        g = cycle_graph(n)
+        g = named_graph("cycle", n)
         for k in range(0, 6):
             assert count_proper_colorings(g, k) == (k - 1) ** n + (-1) ** n * (k - 1)
     # complete graph on 4 vertices: falling factorial
@@ -308,9 +309,9 @@ def test_count_proper_colorings_against_brute_force():
 
 def test_count_proper_colorings_domain():
     with pytest.raises(ValueError):
-        count_proper_colorings(path_graph(2), -1)
+        count_proper_colorings(named_graph("path", 2), -1)
     with pytest.raises(TypeError):
-        count_proper_colorings(path_graph(2), 2.0)
+        count_proper_colorings(named_graph("path", 2), 2.0)
 
 
 def test_chromatic_polynomial_shape():
@@ -356,7 +357,7 @@ def test_chromatic_polynomial_keeps_no_memo_across_calls():
 def test_chromatic_memo_budget_is_a_resource_bound(monkeypatch):
     # the minors of a path with 11 edges are paths of 11, 10, ..., 1
     # edges, 66 edges in all
-    g = path_graph(12)
+    g = named_graph("path", 12)
     chromatic_polynomial.cache_clear()
     monkeypatch.setattr(graphs, "_CHROM_MAX_MEMO", 65)
     with pytest.raises(ResourceLimitError, match="65 edges in its memo, this graph needs more$"):
@@ -373,7 +374,7 @@ def test_chromatic_memo_budget_is_a_resource_bound(monkeypatch):
 
 def test_long_path_runs_within_the_memo_budget():
     # 699 edges, and 244 650 held in the memo
-    g = path_graph(700)
+    g = named_graph("path", 700)
     assert count_proper_colorings(g, 2) == 2
     assert count_proper_colorings(g, 3) == 3 * 2 ** 699
 
@@ -445,17 +446,17 @@ def test_stable_partition_types_extremes():
     assert stable_partition_types(free) == set(partitions(4))
     k4 = Graph(4, tuple(itertools.combinations(range(4), 2)))
     assert stable_partition_types(k4) == {(1, 1, 1, 1)}
-    assert stable_partition_types(path_graph(3)) == {(2, 1), (1, 1, 1)}
-    assert stable_partition_types(cycle_graph(3)) == {(1, 1, 1)}
+    assert stable_partition_types(named_graph("path", 3)) == {(2, 1), (1, 1, 1)}
+    assert stable_partition_types(named_graph("cycle", 3)) == {(1, 1, 1)}
 
 
 def test_stable_partition_types_multipath_examples():
-    assert stable_partition_types(multipath_graph((2, 2, 2, 1))) == {
+    assert stable_partition_types(named_graph("glambda", 2, 2, 2, 1)) == {
         (3, 1, 1),
         (2, 1, 1, 1),
         (1, 1, 1, 1, 1),
     }
-    types = stable_partition_types(multipath_graph((2, 2, 2, 2)))
+    types = stable_partition_types(named_graph("glambda", 2, 2, 2, 2))
     assert (4, 2) in types
     assert (3, 3) not in types
 
@@ -505,18 +506,18 @@ def test_stable_partition_search_keeps_no_memo_across_calls():
 
 def test_stable_partition_types_resource_cap(monkeypatch):
     with pytest.raises(ResourceLimitError):
-        stable_partition_types(path_graph(13))
+        stable_partition_types(named_graph("path", 13))
     # a higher cap unlocks bigger graphs
     monkeypatch.setattr(graphs, "_STABLE_MAX_VERTICES", 13)
-    assert (13,) not in stable_partition_types(path_graph(13))
+    assert (13,) not in stable_partition_types(named_graph("path", 13))
 
 
 def test_is_nice_witnesses():
-    ok, witness = is_nice(multipath_graph((2, 2, 2, 1)))
+    ok, witness = is_nice(named_graph("glambda", 2, 2, 2, 1))
     assert not ok and witness == ((3, 1, 1), (2, 2, 1))
-    ok, witness = is_nice(multipath_graph((2, 2, 2, 2)))
+    ok, witness = is_nice(named_graph("glambda", 2, 2, 2, 2))
     assert not ok and witness == ((4, 2), (3, 3))
-    for g in (path_graph(3), path_graph(5), cycle_graph(5), cycle_chord_graph(2, 3)):
+    for g in (named_graph("path", 3), named_graph("path", 5), named_graph("cycle", 5), named_graph("cc", 2, 3)):
         ok, witness = is_nice(g)
         assert ok and witness is None
 
@@ -524,7 +525,7 @@ def test_is_nice_witnesses():
 # --------------------------------------------------------- triple linking
 
 def test_triple_split_graphs_shapes():
-    g = path_graph(6)
+    g = named_graph("path", 6)
     split = triple_split_graphs(g, 0, 3, 5)
     assert len(split) == 8
     assert split[frozenset()] == g
@@ -538,7 +539,7 @@ def test_triple_split_graphs_shapes():
 
 
 def test_triple_split_graphs_validation():
-    g = path_graph(6)
+    g = named_graph("path", 6)
     with pytest.raises(ValueError):
         triple_split_graphs(g, 0, 0, 5)
     with pytest.raises(ValueError):
