@@ -79,11 +79,6 @@ _ORACLE_MAX_VERTICES = 1_000_000
 # 2**25 of them, 6 to 7 s per family on a 2-CPU host.
 _FORMULA_MAX_VERTICES = 26
 
-# Cut terms of oracle chain steps, kept across calls per width: [the table
-# read, terms held, {(r, a == b, na, nb, nm): {sizes: build}}], cleared
-# with the table or before passing p_to_e's cap.
-_KEPT_CUTS: dict[int, list] = {}
-
 
 # --------------------------------------------------------------- formulas
 
@@ -290,8 +285,9 @@ def csf_oracle(graph: Graph) -> SymFunc:
     kept chain.  A build reads no label and, since the digits start at
     a base set by w alone, no n: only r, one block or two, the slots the
     end blocks move to and their sizes.  So the builds are kept across
-    calls in _KEPT_CUTS, per width, up to p_to_e's budget of terms; a
-    build larger than that lives only for its call.
+    calls in the width's record of symfunc._TABLES, beside the rows they
+    read, up to p_to_e's budget of terms; a build larger than that lives
+    only for its call.
     The work follows the live terms, so the call refuses once a step
     has made more than _ORACLE_MAX_STATES of them, counted as they are
     made; before any step, the table refuses a chain whose free middles
@@ -312,10 +308,8 @@ def csf_oracle(graph: Graph) -> SymFunc:
         last[u] = last[v] = idx
     interior = [r for _, _, r in chains]
     free = _arrangement_table(w, max(interior, default=0))
-    if _KEPT_CUTS.get(w, (None,))[0] is not free:
-        _KEPT_CUTS[w] = [free, 0, {}]
-    kept_cuts, cap = _KEPT_CUTS[w], symfunc._P_TO_E_MAX_TERMS
-    store = kept_cuts[2]
+    kept_cuts, cap = symfunc._TABLES[w][2], symfunc._P_TO_E_MAX_TERMS
+    store = kept_cuts[1]
     oversize: dict[tuple, tuple] = {}  # builds past cap, for this call only
     budget = _ORACLE_MAX_STATES
     slot_of: dict[int, int] = {}
@@ -374,12 +368,12 @@ def csf_oracle(graph: Graph) -> SymFunc:
                 if len(terms) > cap:
                     oversize[shape, sizes] = made
                     return made
-                if kept_cuts[1] + len(terms) > cap:
-                    kept_cuts[1] = 0
+                if kept_cuts[0] + len(terms) > cap:
+                    kept_cuts[0] = 0
                     store.clear()
                     builds.clear()
                     store[shape] = builds
-                kept_cuts[1] += len(terms)
+                kept_cuts[0] += len(terms)
                 builds[sizes] = made
                 return made
 

@@ -221,13 +221,16 @@ def _multiply_into(out: dict[int, int], f: Mapping[int, int], g: Mapping[int, in
 # p(42) = 53 174 does not, nor do A_42 and the image of p_42.
 _P_TO_E_MAX_TERMS = 50_000
 
-# Per-process tables on packed keys, one pair per digit width w: the
-# signed arrangement counts A_0, A_1, ... and the elementary images of
-# the power sums p_0, p_1, ....  A_r holds every partition of r, so a
-# table grows only as far as a caller asks: p_to_e up to the largest part
-# of its input, the oracle to its longest chain, and the spec check to
-# the largest component.
-_TABLES: dict[int, tuple[list[dict[int, int]], list[dict[int, int]]]] = {}
+# One record per digit width w, everything derived from the signed
+# arrangement counts at that width: the rows A_0, A_1, ...; the
+# elementary image of p_k, keyed by k, made the first time p_to_e's walk
+# leaves a part k; and the oracle's kept cut terms, [terms held,
+# {(r, a == b, na, nb, nm): {sizes: build}}], which are sums over A rows.
+# A_r holds every partition of r, so the rows grow only as far as a
+# caller asks: p_to_e up to the largest part of its input, the oracle to
+# its longest chain, and the spec check to the largest component.  What
+# is read from the rows lives exactly as long as they do.
+_TABLES: dict[int, tuple[list[dict[int, int]], dict[int, dict[int, int]], list]] = {}
 
 
 def _arrangement_table(w: int, top: int) -> list[dict[int, int]]:
@@ -248,7 +251,7 @@ def _arrangement_table(w: int, top: int) -> list[dict[int, int]]:
     with more than _P_TO_E_MAX_TERMS entries, as many as the image of
     p_r has, is refused before it is kept.
     """
-    arrangements = _TABLES.setdefault(w, ([{0: 1}], [{0: 1}]))[0]
+    arrangements = _TABLES.setdefault(w, ([{0: 1}], {}, [0, {}]))[0]
     digits = (1 << w) - 1
     while len(arrangements) <= top:
         r = len(arrangements)
@@ -268,24 +271,6 @@ def _arrangement_table(w: int, top: int) -> list[dict[int, int]]:
     return arrangements
 
 
-def _image_table(w: int, top: int) -> list[dict[int, int]]:
-    """Elementary images of p_0, ..., p_top (or more) at width w, for
-    top below 2**w, in closed form: p_k = sum over mu of k of
-    (k / l(mu)) * A_k(mu) e_mu (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.2).  l(mu) is the digit sum of mu's key, which is
-    the key modulo 2**w - 1, read as 2**w - 1 when that is 0, since
-    1 <= l(mu) <= k < 2**w."""
-    arrangements = _arrangement_table(w, top)
-    images = _TABLES[w][1]
-    digits = (1 << w) - 1
-    while len(images) <= top:
-        k = len(images)
-        images.append({
-            key: k * c // (key % digits or digits) for key, c in arrangements[k].items()
-        })
-    return images
-
-
 def p_to_e(f: SymFunc) -> SymFunc:
     """Rewrite a power-sum-basis function in the elementary basis.
 
@@ -295,15 +280,20 @@ def p_to_e(f: SymFunc) -> SymFunc:
     that share a prefix of parts come together, so one packed
     e-accumulator per part of the current prefix suffices: when the
     walk leaves a part k, its accumulator is multiplied by the image of
-    p_k into the one below.  Parts equal to 1 never enter the walk:
-    p_1 = e_1, so a trailing run of m ones adds to key m (e_1^m) where
-    the other parts lead, a key a deeper term may already hold.  The
-    stack is explicit, so a term with thousands of parts stays off the
-    interpreter's recursion limit.  ResourceLimitError once a product
-    leaves an accumulator with more than _P_TO_E_MAX_TERMS terms; one by
-    the image of p_k leaves at least its p(k) terms, as many as A_k has,
-    so the table refuses the first A_k past the budget as it grows,
-    before any image or product.
+    p_k into the one below.  That image is read from A_k in closed form,
+    p_k = sum over mu of k of (k / l(mu)) * A_k(mu) e_mu (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.2), the first time the
+    walk leaves a part k, and kept in the width's record; l(mu) is the
+    digit sum of mu's key, the key modulo 2**w - 1, read as 2**w - 1
+    when that is 0, since 1 <= l(mu) <= k < 2**w.  Parts equal to 1
+    never enter the walk: p_1 = e_1, so a trailing run of m ones adds to
+    key m (e_1^m) where the other parts lead, a key a deeper term may
+    already hold.  The stack is explicit, so a term with thousands of
+    parts stays off the interpreter's recursion limit.
+    ResourceLimitError once a product leaves an accumulator with more
+    than _P_TO_E_MAX_TERMS terms; one by the image of p_k leaves at
+    least its p(k) terms, as many as A_k has, so the table refuses the
+    first A_k past the budget as it grows, before any image or product.
     """
     if f.basis is not Basis.POWERSUM:
         raise ValueError("p_to_e expects a power-sum-basis input")
@@ -311,14 +301,19 @@ def p_to_e(f: SymFunc) -> SymFunc:
     w = _width(_degree(f._terms))
     # the first partition in descending order holds the largest part
     top = terms[0][0][0] if terms and terms[0][0] else 0
-    images = _image_table(w, top)
+    arrangements = _arrangement_table(w, top)
+    images = _TABLES[w][1]
+    digits = (1 << w) - 1
     prefix: list[int] = []
     stack: list[dict[int, int]] = [{}]
 
     def leave(depth: int) -> None:
         while len(prefix) > depth:
-            acc, below = stack.pop(), stack[-1]
-            _multiply_into(below, images[prefix.pop()], acc)
+            acc, below, k = stack.pop(), stack[-1], prefix.pop()
+            if k not in images:
+                images[k] = {key: k * c // (key % digits or digits)
+                             for key, c in arrangements[k].items()}
+            _multiply_into(below, images[k], acc)
             if len(below) > _P_TO_E_MAX_TERMS:
                 raise ResourceLimitError.capped("p_to_e", _P_TO_E_MAX_TERMS, "accumulator terms",
                                                 f"a product made {len(below)}")

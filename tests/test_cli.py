@@ -30,12 +30,17 @@ from chromsym.symfunc import Basis, EPositivityReport, SymFunc
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_module(*argv: str, **kwargs) -> subprocess.CompletedProcess:
-    """Run `python -m chromsym` in a child process that imports the
-    package from src, whether or not this process was given PYTHONPATH."""
+def child_env() -> dict[str, str]:
+    """The environment of a child process that imports the package from
+    src, whether or not this process was given PYTHONPATH."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_module(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python -m chromsym` in a child process under child_env."""
     return subprocess.run([sys.executable, "-m", "chromsym", *argv],
-                          env={**os.environ, "PYTHONPATH": path}, text=True, **kwargs)
+                          env=child_env(), text=True, **kwargs)
 
 
 # ---------------------------------------------------------------- grammar
@@ -936,13 +941,31 @@ def test_closed_stdout_is_not_a_traceback():
     assert proc.returncode == 1
 
 
+def test_reader_leaving_mid_stream_is_not_a_traceback():
+    # chrompoly on 1 000 isolated vertices writes about 2.6 MB, more than
+    # a pipe holds, so a reader that leaves after one line breaks the
+    # pipe mid-write: exit 1, with no traceback and no "Exception
+    # ignored" from the flush at interpreter exit
+    proc = subprocess.Popen([sys.executable, "-m", "chromsym", "chrompoly", "edges:1000;"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    try:
+        assert proc.stdout.readline() == b"graph: edges:1000; (1000 vertices)\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""
+
+
 def loaded_by_cli_import(*modules: str) -> str:
     """Which of the named modules a fresh interpreter holds after
     importing chromsym.cli, as the printed sorted list."""
     code = f"import sys, chromsym.cli; print(sorted({set(modules)!r} & set(sys.modules)))"
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -289,7 +289,7 @@ def test_kept_closing_cut_terms_change_no_result_and_no_refusal(monkeypatch):
     # frontiers reach slot 2, and the 7-vertex graph merges two open
     # blocks into either one's slot; the pinned refusals above still stop
     # at the same term on a warm store
-    monkeypatch.setattr(engine, "_KEPT_CUTS", {})
+    monkeypatch.setattr(symfunc, "_TABLES", {})
     graphs = [theta_graph(*cell) for cell in theta_scan_cells(17)]
     graphs += [named_graph(keyword, n) for n in range(3, 13) for keyword in ("path", "cycle")]
     graphs += [named_graph("tadpole", m, t) for m in (3, 5, 8) for t in (1, 4, 7)]
@@ -311,8 +311,8 @@ def test_kept_closing_cut_terms_change_no_result_and_no_refusal(monkeypatch):
     for g in [*graphs, *reversed(graphs)]:
         assert csf_oracle(g) == expected[g], g
     assert {2, None} <= slots
-    assert sorted(engine._KEPT_CUTS) == [2, 3, 4, 5]
-    shapes = [shape for _, _, store in engine._KEPT_CUTS.values() for shape in store]
+    assert sorted(symfunc._TABLES) == [2, 3, 4, 5]
+    shapes = [shape for _, _, (_, store) in symfunc._TABLES.values() for shape in store]
     assert any(nm is not None for *_, nm in shapes)
     for graph, budget, left in [
         (named_graph("tadpole", 7, 5), 76, "chain 2 of 2 left 77"),
@@ -537,27 +537,31 @@ def test_free_path_power_sums_match_composition_formula():
 
 
 def test_transfer_and_conversion_share_one_arrangement_table(monkeypatch):
-    # a wrong entry planted in the shared table reaches both users, so a
+    # a wrong entry planted in a whole record reaches both users, so a
     # second copy of the table cannot come back unnoticed; the
     # edge-by-edge reference reads no table, so it keeps the honest sum
     for module in engine, reference:  # keep both routes' p-basis sums
         monkeypatch.setattr(module, "p_to_e", lambda f: f)
     g = named_graph("glambda", 4, 2, 2)
     # one chain of 3 inner vertices whose ends both retire: its cut terms
-    # are kept across calls, and must be dropped with the table they read
+    # are kept across calls in the record of the table they read
     path = named_graph("path", 5)
     for graph in g, path:
         assert csf_oracle(graph) == csf_by_edge_transfer(graph)
     w = symfunc._width(g.n)
     assert symfunc._width(path.n) == w
+    # p_3 padded with ones to degree 7, so it converts at width w too
+    p_3 = SymFunc(Basis.POWERSUM, {(3, 1, 1, 1, 1): 1})
+    assert symfunc._width(7) == w
+    honest_image = symfunc.p_to_e(p_3)
+    assert 3 in symfunc._TABLES[w][1] and symfunc._TABLES[w][2][1]
     table = symfunc._arrangement_table(w, 3)
-    honest_image = symfunc._image_table(w, 3)[3]
     three = symfunc._pack((3,), w)
     planted = [*table[:3], {**table[3], three: table[3][three] + 1}]
-    monkeypatch.setattr(symfunc, "_TABLES", {w: (planted, [{0: 1}])})
+    monkeypatch.setattr(symfunc, "_TABLES", {w: (planted, {}, [0, {}])})
     assert csf_oracle(g) != csf_by_edge_transfer(g)
     assert csf_oracle(path) != csf_by_edge_transfer(path)
-    assert symfunc._image_table(w, 3)[3] != honest_image
+    assert symfunc.p_to_e(p_3) != honest_image
 
 
 def test_kept_closing_cut_terms_stay_within_the_conversion_budget(monkeypatch):
@@ -567,13 +571,12 @@ def test_kept_closing_cut_terms_stay_within_the_conversion_budget(monkeypatch):
     # then builds 45 terms, which are used but never kept
     monkeypatch.setattr(symfunc, "_P_TO_E_MAX_TERMS", 40)
     monkeypatch.setattr(symfunc, "_TABLES", {})
-    monkeypatch.setattr(engine, "_KEPT_CUTS", {})
     cut_terms, built = engine._cut_terms, []
 
     def held() -> dict[int, int]:
         now = {w: sum(len(offs) for builds in store.values() for _, offs, _ in builds.values())
-               for w, (_, _, store) in engine._KEPT_CUTS.items()}
-        assert now == {w: entry[1] for w, entry in engine._KEPT_CUTS.items()}
+               for w, (_, _, (_, store)) in symfunc._TABLES.items()}
+        assert now == {w: kept[0] for w, (_, _, kept) in symfunc._TABLES.items()}
         assert all(terms <= 40 for terms in now.values())
         return now
 
@@ -779,6 +782,14 @@ def test_scan_checkpoint_resume(tmp_path):
     assert second == first
     # resumed run recomputes nothing, so the file is untouched
     assert ck.read_text() == body
+    # so does one from the same rows with an empty and a whitespace-only
+    # line between them
+    lines = body.splitlines(keepends=True)
+    gapped = tmp_path / "gapped.jsonl"
+    gapped.write_text("".join([lines[0], "\n", *lines[1:3], " \t \n", *lines[3:]]))
+    blank = gapped.read_text()
+    assert list(scan_theta(7, checkpoint=str(gapped))) == first
+    assert gapped.read_text() == blank
     # a longer scan picks up where the file left off
     third = list(scan_theta(8, checkpoint=str(ck)))
     assert third[: len(first)] == first
@@ -841,3 +852,18 @@ def test_closing_parallel_scan_cancels_pending_cells():
     start = time.perf_counter()
     it.close()
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("graph", [
+    Graph(5, ((0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3))),
+    Graph(8, ((0, 2), (0, 4), (0, 6), (1, 3), (1, 5), (1, 7), (2, 3), (4, 5), (6, 7))),
+], ids=["once", "fifteen-times"])
+def test_oversize_cut_terms_are_reused_within_their_call(graph, monkeypatch):
+    # under a budget of 3 terms, a build past it is never kept, yet a
+    # later state of the same call with the same shape and sizes reuses
+    # it: once on the first graph, 15 times on the second
+    for module in engine, reference:  # compare the p-basis sums
+        monkeypatch.setattr(module, "p_to_e", lambda f: f)
+    monkeypatch.setattr(symfunc, "_P_TO_E_MAX_TERMS", 3)
+    monkeypatch.setattr(symfunc, "_TABLES", {})
+    assert csf_oracle(graph) == csf_by_edge_transfer(graph)

@@ -29,7 +29,7 @@ from chromsym.graphs import (
     theta_graph,
 )
 from chromsym.symfunc import is_e_positive, p_to_e
-from reference import component_partition, named_graph
+from reference import component_partition
 
 
 def _path_lengths(count):
@@ -68,20 +68,28 @@ SPECS = {
 specs = st.sampled_from(list(SPECS)).flatmap(SPECS.__getitem__)
 
 
-# each family's graph from raw ints, as a library caller builds it
+# a family's graph from raw ints, as a library caller builds it without
+# a spec
 BUILDERS = {
-    Family.PATH: lambda params, edges: named_graph("path", *params),
-    Family.CYCLE: lambda params, edges: named_graph("cycle", *params),
-    Family.TADPOLE: lambda params, edges: named_graph("tadpole", *params),
-    Family.CYCLE_CHORD: lambda params, edges: named_graph("cc", *params),
     Family.THETA: lambda params, edges: theta_graph(*params),
-    Family.MULTIPATH: lambda params, edges: named_graph("glambda", *params),
     Family.EDGES: lambda params, edges: Graph(*params, edges),
+}
+
+# every other family's rule on its params, stated in this module apart
+# from graphs
+RULES = {
+    Family.PATH: lambda n: n >= 1,
+    Family.CYCLE: lambda n: n >= 3,
+    Family.TADPOLE: lambda m, tail: m >= 3 and tail >= 0,
+    Family.CYCLE_CHORD: lambda a, b: a >= 1 and b >= 1 and a + b >= 3,
+    Family.MULTIPATH: lambda *lengths: (
+        len(lengths) >= 1 and min(lengths) >= 1 and lengths.count(1) <= 1
+    ),
 }
 
 
 def test_every_row_has_a_strategy():
-    assert set(SPECS) == set(FAMILIES) == set(Family) == set(BUILDERS)
+    assert set(SPECS) == set(FAMILIES) == set(Family) == set(BUILDERS) | set(RULES)
 
 
 @st.composite
@@ -101,6 +109,13 @@ def _raw_spec(draw):
 @given(_raw_spec())
 def test_a_spec_is_made_exactly_when_its_builder_builds(raw):
     family, params, edges = raw
+    if family in RULES:
+        try:
+            spec = GraphSpec(family, params, edges)
+        except ValueError:
+            spec = None
+        assert (spec is not None) == RULES[family](*params), params
+        return
     try:
         graph = BUILDERS[family](params, edges)
     except ValueError as exc:

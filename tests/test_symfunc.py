@@ -25,7 +25,6 @@ from chromsym.graphs import build_graph, count_proper_colorings
 from chromsym.symfunc import (
     _arrangement_table,
     _degree,
-    _image_table,
     _multiply_into,
     _pack,
     _packed,
@@ -235,6 +234,20 @@ def test_unpacked_decodes_each_nonzero_key_as_unpack(calls):
         assert list(_unpacked(terms, w).items()) == expected
 
 
+def _padded(m: int, w: int) -> SymFunc:
+    """p_m times p_1 up to degree 2**w - 1, the largest that converts at
+    width w; its image is the image of p_m times e_1 as often."""
+    return monomial(P, (m,) + (1,) * (2 ** w - 1 - m))
+
+
+def _image_table(w: int, top: int) -> dict[int, dict[int, int]]:
+    """The width-w record's images once p_to_e has left each part
+    2, ..., top."""
+    for k in range(2, top + 1):
+        p_to_e(_padded(k, w))
+    return symfunc._TABLES[w][1]
+
+
 def test_conversion_keeps_no_state_across_calls():
     def container_sizes():
         # nested containers count too, so a memo kept per width shows
@@ -336,13 +349,18 @@ def test_arrangement_table_matches_first_part_recurrence(w, monkeypatch):
 
 
 def test_power_image_matches_newton_recurrence(monkeypatch):
-    # fresh tables, built by the recurrence at the narrowest width that
-    # holds 22 and at a wider one
+    # fresh records, built by the recurrence at the narrowest width that
+    # holds 22 and at a wider one; the walk keeps the image of every part
+    # above 1 that it leaves, and only those
     monkeypatch.setattr(symfunc, "_TABLES", {})
     for w in (5, 7):
-        images = _image_table(w, 22)
         for m in range(1, 23):
-            assert SymFunc(E, _unpacked(images[m], w)) == power_image_by_newton(m), (w, m)
+            ones = monomial(E, (1,) * (2 ** w - 1 - m))
+            assert p_to_e(_padded(m, w)) == power_image_by_newton(m) * ones, (w, m)
+        images = symfunc._TABLES[w][1]
+        assert sorted(images) == list(range(2, 23))
+        for m, image in images.items():
+            assert SymFunc(E, _unpacked(image, w)) == power_image_by_newton(m), (w, m)
 
 
 def _newton_product(terms):
@@ -388,14 +406,18 @@ class _CappedTable(list):
 
 
 def test_p_to_e_grows_tables_only_to_the_largest_part(monkeypatch):
-    # degree 1000 but largest part 2: the tables stop at p_2, where
-    # partitions of the degree would never fit in memory
+    # degree 1000 but largest part 2: the rows stop at A_2, where
+    # partitions of the degree would never fit in memory, and the one
+    # image made is p_2's; past that, images exist only for the parts
+    # the walk left, not for every part up to the largest
     w = _width(1000)
-    monkeypatch.setattr(
-        symfunc, "_TABLES", {w: (_CappedTable([{0: 1}]), _CappedTable([{0: 1}]))}
-    )
+    monkeypatch.setattr(symfunc, "_TABLES", {w: (_CappedTable([{0: 1}]), {}, [0, {}])})
     p_to_e(monomial(P, (2,) * 500))
-    assert [len(table) for table in symfunc._TABLES[w]] == [3, 3]
+    rows, images, _ = symfunc._TABLES[w]
+    assert len(rows) == 3 and sorted(images) == [2]
+    p_to_e(monomial(P, (5, 3, 1, 1)))
+    rows, images, _ = symfunc._TABLES[_width(10)]
+    assert len(rows) == 6 and sorted(images) == [3, 5]
 
 
 def test_p_to_e_rejects_elementary_input():
@@ -515,7 +537,8 @@ def test_p_to_e_refuses_the_first_image_past_its_budget(monkeypatch):
     with pytest.raises(chromsym.ResourceLimitError) as exc:
         p_to_e(monomial(P, (12,)))
     assert str(exc.value) == "p_to_e capped at 30 accumulator terms, the image of p_10 has 42"
-    assert [len(table) for table in symfunc._TABLES[_width(12)]] == [10, 10]
+    rows, images, _ = symfunc._TABLES[_width(12)]
+    assert len(rows) == 10 and sorted(images) == [9]
 
 
 # ------------------------------------------------------------ positivity
